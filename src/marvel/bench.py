@@ -12,15 +12,13 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from itertools import combinations
-from time import perf_counter
 
 import numpy as np
 
 from .ci import CiOracle, Dataset, GaussianCiConfig, dsep_oracle, fisher_z_oracle
-from .graph import Dag, Pdag, apply_meek_rules
-from .marvel import LearnResult, marvel_learn
+from .graph import Dag, Pdag, _pair
+from .marvel import LearnResult, _orient, marvel_learn, run_learner
 from .mb import MbMap, total_conditioning
-from .metrics import RunMetrics
 from .synth import (
     DEFAULT_COEFF_RANGE,
     DEFAULT_SD_RANGE,
@@ -32,7 +30,6 @@ from .synth import (
 )
 
 GENERATORS = ("erdos_renyi", "fixed_indegree", "cluster")
-ALGOS = ("marvel", "pc")
 ORACLES = ("dsep", "fisher_z")
 
 CSV_COLUMNS = (
@@ -64,7 +61,7 @@ def skeleton_metrics(learned: Pdag, truth: Dag) -> tuple[float, float, float]:
     if learned.p != truth.p:
         raise ValueError("graphs disagree on p")
     l_edges = learned.skeleton_pairs()
-    t_edges = frozenset((min(u, v), max(u, v)) for u, v in truth.edges())
+    t_edges = frozenset(_pair(u, v) for u, v in truth.edges())
     hit = len(l_edges & t_edges)
     precision = hit / len(l_edges) if l_edges else (1.0 if not t_edges else 0.0)
     recall = hit / len(t_edges) if t_edges else 1.0
@@ -85,17 +82,13 @@ def pc_baseline(oracle: CiOracle, mb0: MbMap) -> LearnResult:
     rules finish the orientation. Vertices are processed in ascending index
     at every step.
     """
+    return run_learner(oracle, mb0, _pc_sweep)
+
+
+def _pc_sweep(
+    oracle: CiOracle, mb0: MbMap, warnings: list[str]
+) -> tuple[Pdag, tuple[int, ...]]:
     p = oracle.p
-    if mb0.p != p:
-        raise ValueError("boundary map and oracle disagree on p")
-    if mb0.removed:
-        raise ValueError("starting boundary map must have no removed vertices")
-    warnings: list[str] = []
-    degenerate_before = getattr(oracle, "n_degenerate", 0)
-
-    t0 = perf_counter()
-    oracle.begin_phase()
-
     adj: list[set[int]] = [set(mb0.mb[x]) for x in range(p)]
     sepsets: dict[tuple[int, int], frozenset[int]] = {}
     level = 0
@@ -111,48 +104,35 @@ def pc_baseline(oracle: CiOracle, mb0: MbMap) -> LearnResult:
                     if oracle.query(x, y, frozenset(s)):
                         adj[x].discard(y)
                         adj[y].discard(x)
-                        sepsets[(min(x, y), max(x, y))] = frozenset(s)
+                        sepsets[_pair(x, y)] = frozenset(s)
                         break
         level += 1
 
-    skeleton = frozenset(
-        (x, y) for x in range(p) for y in adj[x] if x < y
-    )
     directed: set[tuple[int, int]] = set()
+    undirected = {(x, y) for x in range(p) for y in adj[x] if x < y}
     for c in range(p):
         for a, b in combinations(sorted(adj[c]), 2):
             key = (a, b)
             if b in adj[a] or key not in sepsets or c in sepsets[key]:
                 continue
             # keep-first when noisy answers demand both directions of an edge
-            for tail in (a, b):
-                if (c, tail) in directed:
-                    warnings.append(
-                        f"kept existing orientation {c}->{tail} over {tail}->{c}"
-                    )
-                else:
-                    directed.add((tail, c))
-    undirected = {e for e in skeleton if e not in {
-        (min(i, j), max(i, j)) for i, j in directed
-    }}
-    base = Pdag(p, directed=directed, undirected=undirected)
-    essential = apply_meek_rules(base, on_conflict="drop", warnings=warnings)
+            _orient(directed, undirected, a, c, warnings)
+            _orient(directed, undirected, b, c, warnings)
+    return Pdag(p, directed=directed, undirected=undirected), tuple(range(p))
 
-    post = oracle.phase_stats()
-    degenerate_after = getattr(oracle, "n_degenerate", 0)
-    if degenerate_after > degenerate_before:
-        warnings.append(
-            f"{degenerate_after - degenerate_before} queries had too few "
-            "samples and were declared dependent"
-        )
-    metrics = RunMetrics(
-        n_tests=post.n_tests,
-        asc=post.asc,
-        max_cond=post.max_cond_size,
-        wall_ms=(perf_counter() - t0) * 1000.0,
-        warnings=len(warnings),
-    )
-    return LearnResult(essential, tuple(range(p)), metrics, warnings)
+
+LEARNERS = {"marvel": marvel_learn, "pc": pc_baseline}
+ALGOS = tuple(LEARNERS)
+
+
+def solve(oracle: CiOracle, algo: str) -> tuple[int, LearnResult]:
+    """Boundary discovery by total conditioning, then the named learner.
+
+    Returns the boundary-phase test count and the learner's result.
+    """
+    mb0 = total_conditioning(oracle)
+    mb_tests = oracle.stats().n_tests
+    return mb_tests, LEARNERS[algo](oracle, mb0)
 
 
 @dataclass(frozen=True)
@@ -182,8 +162,7 @@ class ExperimentConfig:
     record_wall: bool = False
 
     def __post_init__(self) -> None:
-        if self.generator not in GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}")
+        _check_generator(self.generator, self.m, self.delta_in)
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algo {self.algo!r}")
         if self.oracle not in ORACLES:
@@ -192,10 +171,6 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if self.p < 1:
             raise ValueError("p must be positive")
-        if self.generator == "erdos_renyi" and self.m is None:
-            raise ValueError("erdos_renyi needs m")
-        if self.generator != "erdos_renyi" and self.delta_in is None:
-            raise ValueError(f"{self.generator} needs delta_in")
         if self.oracle == "fisher_z":
             if self.n_samples is None:
                 raise ValueError("fisher_z needs n_samples")
@@ -229,12 +204,33 @@ def simulate_dataset(
     return sample(spec, n_samples, seed=data_seed)
 
 
-def _generate(cfg: ExperimentConfig, seed: int) -> Dag:
-    if cfg.generator == "erdos_renyi":
-        return erdos_renyi_dag(cfg.p, cfg.m, seed)
-    if cfg.generator == "fixed_indegree":
-        return fixed_indegree_dag(cfg.p, cfg.delta_in, seed)
-    return cluster_adversarial_dag(cfg.p, cfg.delta_in)
+def _check_generator(generator: str, m: int | None, delta_in: int | None) -> None:
+    if generator not in GENERATORS:
+        raise ValueError(f"unknown generator {generator!r}")
+    if generator == "erdos_renyi" and m is None:
+        raise ValueError("erdos_renyi needs m")
+    if generator != "erdos_renyi" and delta_in is None:
+        raise ValueError(f"{generator} needs delta_in")
+
+
+def generate_dag(
+    generator: str,
+    p: int,
+    seed: int,
+    m: int | None = None,
+    delta_in: int | None = None,
+) -> Dag:
+    """A DAG from one of the GENERATORS families.
+
+    erdos_renyi takes the edge count m; fixed_indegree and cluster take
+    delta_in. The cluster family is deterministic and ignores the seed.
+    """
+    _check_generator(generator, m, delta_in)
+    if generator == "erdos_renyi":
+        return erdos_renyi_dag(p, m, seed)
+    if generator == "fixed_indegree":
+        return fixed_indegree_dag(p, delta_in, seed)
+    return cluster_adversarial_dag(p, delta_in)
 
 
 def _build_oracle(cfg: ExperimentConfig, g: Dag, seed: int) -> CiOracle:
@@ -243,8 +239,7 @@ def _build_oracle(cfg: ExperimentConfig, g: Dag, seed: int) -> CiOracle:
     data = simulate_dataset(
         g, cfg.n_samples, seed, cfg.coeff_lo, cfg.coeff_hi, cfg.sd_lo, cfg.sd_hi
     )
-    config = GaussianCiConfig(alpha=cfg.alpha) if cfg.alpha is not None else None
-    return fisher_z_oracle(data, config)
+    return fisher_z_oracle(data, GaussianCiConfig(alpha=cfg.alpha))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
@@ -252,14 +247,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     for seed in cfg.seeds:
         try:
-            g = _generate(cfg, seed)
+            g = generate_dag(cfg.generator, cfg.p, seed, cfg.m, cfg.delta_in)
             oracle = _build_oracle(cfg, g, seed)
         except ValueError as exc:
             raise ValueError(f"seed {seed}: {exc}") from exc
-        mb0 = total_conditioning(oracle)
-        mb_tests = oracle.stats().n_tests
-        learner = marvel_learn if cfg.algo == "marvel" else pc_baseline
-        res = learner(oracle, mb0)
+        mb_tests, res = solve(oracle, cfg.algo)
         precision, recall, f1 = skeleton_metrics(res.essential, g)
         rows.append(
             {

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 from scipy.stats import norm
 
-from .graph import Dag, d_separated
+from .graph import Dag, check_query, d_separated
 
 
 @dataclass
@@ -45,23 +45,23 @@ class CiOracle:
     the cumulative ``stats()`` the oracle keeps a phase window that callers
     may reset with ``begin_phase()`` to split accounting into stages (for
     example boundary discovery vs structure recovery).
+
+    ``n_degenerate`` and ``n_singular`` count, over the oracle's whole life,
+    the queries it could not decide and answered "dependent": too few
+    samples for the test, and a singular correlation submatrix. An exact
+    oracle leaves both at 0.
     """
 
     p: int
+    n_degenerate = 0
+    n_singular = 0
 
     def __init__(self) -> None:
         self._stats = CiStats()
         self._phase = CiStats()
 
     def query(self, x: int, y: int, s: Iterable[int] = ()) -> bool:
-        s = frozenset(s)
-        for v in (x, y, *s):
-            if not 0 <= v < self.p:
-                raise ValueError(f"vertex {v} out of range for p={self.p}")
-        if x == y:
-            raise ValueError("query endpoints must differ")
-        if x in s or y in s:
-            raise ValueError("conditioning set may not contain the endpoints")
+        s = check_query(self.p, x, y, s)
         for acc in (self._stats, self._phase):
             acc.n_tests += 1
             acc.sum_cond_size += len(s)
@@ -101,8 +101,8 @@ def dsep_oracle(dag: Dag) -> DsepOracle:
 class Dataset:
     """n x p sample matrix with its correlation matrix computed once.
 
-    Requires n >= 2 rows and nonconstant columns, since the correlation
-    matrix is undefined otherwise.
+    Requires n >= 2 rows and finite, nonconstant columns, since the
+    correlation matrix is undefined otherwise.
     """
 
     __slots__ = ("n", "p", "values", "corr")
@@ -114,6 +114,10 @@ class Dataset:
         n, p = values.shape
         if n < 2:
             raise ValueError("dataset needs at least two rows")
+        finite = np.isfinite(values).all(axis=0)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            raise ValueError(f"column {bad} holds NaN or infinite values")
         stds = values.std(axis=0)
         if np.any(stds == 0.0):
             bad = int(np.flatnonzero(stds == 0.0)[0])
@@ -162,15 +166,7 @@ def partial_correlation_from_corr(corr: np.ndarray, x: int, y: int, s) -> float:
     than returning a silent junk value. Output is clamped to +-(1 - 1e-7) so
     the Fisher transform stays finite.
     """
-    p = corr.shape[0]
-    s = frozenset(s)
-    for v in (x, y, *s):
-        if not 0 <= v < p:
-            raise ValueError(f"vertex {v} out of range for p={p}")
-    if x == y:
-        raise ValueError("endpoints must differ")
-    if x in s or y in s:
-        raise ValueError("conditioning set may not contain the endpoints")
+    s = check_query(corr.shape[0], x, y, s)
     if not s:
         r = float(corr[x, y])
     else:
@@ -194,7 +190,9 @@ class FisherZOracle(CiOracle):
     z = sqrt(n - |s| - 3) * atanh(rho); independent iff |z| <= the two-sided
     normal quantile for alpha, with ties counted as independent. Samples too
     small for the transform (n <= |s| + 3) are declared dependent and counted
-    in ``n_degenerate``.
+    in ``n_degenerate``; a singular or non-positive-definite submatrix (as
+    collinear columns give) is declared dependent and counted in
+    ``n_singular``.
     """
 
     def __init__(self, dataset: Dataset, config: GaussianCiConfig | None = None) -> None:
@@ -208,14 +206,17 @@ class FisherZOracle(CiOracle):
         self.p = dataset.p
         self.alpha = alpha
         self.z_threshold = float(norm.ppf(1.0 - alpha / 2.0))
-        self.n_degenerate = 0
 
     def _decide(self, x: int, y: int, s: frozenset[int]) -> bool:
         n = self.dataset.n
         if n <= len(s) + 3:
             self.n_degenerate += 1
             return False
-        r = partial_correlation_from_corr(self.dataset.corr, x, y, s)
+        try:
+            r = partial_correlation_from_corr(self.dataset.corr, x, y, s)
+        except np.linalg.LinAlgError:
+            self.n_singular += 1
+            return False
         z = sqrt(n - len(s) - 3) * atanh(r)
         return abs(z) <= self.z_threshold
 

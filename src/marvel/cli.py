@@ -22,18 +22,19 @@ import sys
 from dataclasses import replace
 
 from .bench import (
+    ALGOS,
+    GENERATORS,
+    ORACLES,
+    generate_dag,
     load_config,
-    pc_baseline,
     rows_to_csv,
     run_experiment,
     simulate_dataset,
     skeleton_metrics,
+    solve,
 )
 from .ci import GaussianCiConfig, dsep_oracle, fisher_z_oracle, load_dataset, save_dataset
 from .graph import load_dag, load_pdag, markov_equivalent, save_dag, save_pdag
-from .marvel import marvel_learn
-from .mb import total_conditioning
-from .synth import cluster_adversarial_dag, erdos_renyi_dag, fixed_indegree_dag
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,11 +51,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("generate", help="write a random DAG (and optional dataset)")
-    gen.add_argument(
-        "--generator",
-        choices=("erdos_renyi", "fixed_indegree", "cluster"),
-        required=True,
-    )
+    gen.add_argument("--generator", choices=GENERATORS, required=True)
     gen.add_argument("--p", type=int, required=True, help="number of vertices")
     gen.add_argument("--m", type=int, help="edge count (erdos_renyi)")
     gen.add_argument(
@@ -69,8 +66,8 @@ def _build_parser() -> _Parser:
     learn = sub.add_parser("learn", help="learn a PDAG and print a metrics row")
     learn.add_argument("--graph", help="truth DAG edge list (exact oracle input)")
     learn.add_argument("--data", help="CSV dataset (statistical oracle input)")
-    learn.add_argument("--algo", choices=("marvel", "pc"), default="marvel")
-    learn.add_argument("--oracle", choices=("dsep", "fisher_z"))
+    learn.add_argument("--algo", choices=ALGOS, default="marvel")
+    learn.add_argument("--oracle", choices=ORACLES)
     learn.add_argument("--alpha", type=float, help="test level (fisher_z only)")
     learn.add_argument("--out", help="write the learned PDAG here")
     learn.set_defaults(run=_cmd_learn)
@@ -78,7 +75,7 @@ def _build_parser() -> _Parser:
     bench = sub.add_parser("bench", help="run an experiment config, emit CSV")
     bench.add_argument("config", help="flat key=value experiment config file")
     bench.add_argument("--out", help="CSV output path (default: stdout)")
-    bench.add_argument("--algo", choices=("marvel", "pc"), help="override config")
+    bench.add_argument("--algo", choices=ALGOS, help="override config")
     bench.add_argument("--alpha", type=float, help="override config")
     bench.add_argument("--seed", type=int, help="run this single seed instead")
     bench.set_defaults(run=_cmd_bench)
@@ -94,18 +91,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.generator == "erdos_renyi":
-        if args.m is None:
-            raise ValueError("erdos_renyi needs --m")
-        g = erdos_renyi_dag(args.p, args.m, args.seed)
-    elif args.generator == "fixed_indegree":
-        if args.delta_in is None:
-            raise ValueError("fixed_indegree needs --delta-in")
-        g = fixed_indegree_dag(args.p, args.delta_in, args.seed)
-    else:
-        if args.delta_in is None:
-            raise ValueError("cluster needs --delta-in")
-        g = cluster_adversarial_dag(args.p, args.delta_in)
+    g = generate_dag(args.generator, args.p, args.seed, args.m, args.delta_in)
     save_dag(g, args.out)
     print(f"wrote {args.out} (p={g.p}, m={g.n_edges})")
     if args.data is not None:
@@ -135,15 +121,9 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             raise ValueError("the fisher_z oracle needs --data")
         truth = None
         dataset = load_dataset(args.data)
-        config = (
-            GaussianCiConfig(alpha=args.alpha) if args.alpha is not None else None
-        )
-        oracle = fisher_z_oracle(dataset, config)
+        oracle = fisher_z_oracle(dataset, GaussianCiConfig(alpha=args.alpha))
 
-    mb0 = total_conditioning(oracle)
-    mb_tests = oracle.stats().n_tests
-    learner = marvel_learn if args.algo == "marvel" else pc_baseline
-    result = learner(oracle, mb0)
+    mb_tests, result = solve(oracle, args.algo)
     if args.out:
         save_pdag(result.essential, args.out)
         print(f"wrote {args.out}")

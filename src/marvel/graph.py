@@ -14,8 +14,8 @@ outputs.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import combinations
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -222,11 +222,17 @@ class Pdag:
 AnyGraph = Union[Dag, Pdag]
 
 
-def _check_query_args(g: Dag, x: int, y: int, s: Iterable[int]) -> frozenset[int]:
+def check_query(p: int, x: int, y: int, s: Iterable[int]) -> frozenset[int]:
+    """Validate a CI query over vertices 0..p-1; returns s as a frozenset.
+
+    Every query entry point (the oracles, d-separation, partial correlation)
+    checks its arguments here, so all of them reject the same inputs with
+    the same messages.
+    """
     s = frozenset(s)
     for v in (x, y, *s):
-        if not 0 <= v < g.p:
-            raise ValueError(f"vertex {v} out of range for p={g.p}")
+        if not 0 <= v < p:
+            raise ValueError(f"vertex {v} out of range for p={p}")
     if x == y:
         raise ValueError("query endpoints must differ")
     if x in s or y in s:
@@ -241,7 +247,7 @@ def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
     test undirected reachability with s removed. Dispatches to the compiled
     kernel when it is available and p <= 64.
     """
-    s = _check_query_args(g, x, y, s)
+    s = check_query(g.p, x, y, s)
     smask = 0
     for v in s:
         smask |= 1 << v
@@ -272,7 +278,7 @@ def d_separated_bruteforce(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> boo
     rule directly: a path is active iff each collider on it has a descendant
     in s and no non-collider on it is in s.
     """
-    s = _check_query_args(g, x, y, s)
+    s = check_query(g.p, x, y, s)
     desc_cache: dict[int, frozenset[int]] = {}
 
     def blocked(path: list[int]) -> bool:

@@ -16,14 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import ceil, comb
 from time import perf_counter
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .ci import CiOracle
 from .graph import (
     Pdag,
+    _pair,
     apply_meek_rules,
     enumerate_subsets,
     pdag_from_skeleton_and_vstructs,
@@ -257,10 +259,6 @@ def ci_budget_bound(p: int, delta_in: int) -> int:
     return ceil(total)
 
 
-def _pair(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
-
-
 def _add_undirected(
     directed: set[tuple[int, int]], undirected: set[tuple[int, int]], x: int, y: int
 ) -> None:
@@ -311,6 +309,53 @@ def _vouched_vstructures(
     )
 
 
+def run_learner(
+    oracle: CiOracle,
+    mb0: MbMap,
+    recover: Callable[[CiOracle, MbMap, list[str]], tuple[Pdag, tuple[int, ...]]],
+) -> LearnResult:
+    """The frame both learners run in.
+
+    Checks the starting boundary map against the oracle, opens the oracle's
+    phase window, and calls ``recover(oracle, mb0, warnings)``, which returns
+    the learner's PDAG before orientation closure plus the vertex order to
+    report. The PDAG is then closed under the Meek rules, dropping
+    contradictory orientations to undirected. Queries the oracle could not
+    decide over its whole life, boundary discovery included, are reported
+    as warnings. Test counts cover the phase window only.
+    """
+    if mb0.p != oracle.p:
+        raise ValueError("boundary map and oracle disagree on p")
+    if mb0.removed:
+        raise ValueError("starting boundary map must have no removed vertices")
+    warnings: list[str] = []
+    t0 = perf_counter()
+    oracle.begin_phase()
+
+    base, order = recover(oracle, mb0, warnings)
+    essential = apply_meek_rules(base, on_conflict="drop", warnings=warnings)
+
+    post = oracle.phase_stats()
+    if oracle.n_degenerate:
+        warnings.append(
+            f"{oracle.n_degenerate} queries had too few samples and were "
+            "declared dependent"
+        )
+    if oracle.n_singular:
+        warnings.append(
+            f"{oracle.n_singular} queries met a singular correlation "
+            "submatrix and were declared dependent"
+        )
+    metrics = RunMetrics(
+        n_tests=post.n_tests,
+        asc=post.asc,
+        max_cond=post.max_cond_size,
+        wall_ms=(perf_counter() - t0) * 1000.0,
+        warnings=len(warnings),
+    )
+    return LearnResult(essential, order, metrics, warnings)
+
+
 def marvel_learn(
     oracle: CiOracle, mb0: MbMap, use_caches: bool = True
 ) -> LearnResult:
@@ -323,22 +368,19 @@ def marvel_learn(
     fallible oracle), the variable with the smallest boundary is removed as
     if removable and a warning is recorded.
     """
+    return run_learner(oracle, mb0, partial(_eliminate, use_caches=use_caches))
+
+
+def _eliminate(
+    oracle: CiOracle, mb0: MbMap, warnings: list[str], use_caches: bool
+) -> tuple[Pdag, tuple[int, ...]]:
     p = oracle.p
-    if mb0.p != p:
-        raise ValueError("boundary map and oracle disagree on p")
-    if mb0.removed:
-        raise ValueError("starting boundary map must have no removed vertices")
     m = mb0.copy()
     caches = MarvelCaches()
     directed: set[tuple[int, int]] = set()
     undirected: set[tuple[int, int]] = set()
     forced: set[tuple[int, int]] = set()
-    warnings: list[str] = []
     order: list[int] = []
-    degenerate_before = getattr(oracle, "n_degenerate", 0)
-
-    t0 = perf_counter()
-    oracle.begin_phase()
 
     while len(order) < p:
         scan = sorted(m.alive(), key=lambda v: (len(m.mb[v]), v))
@@ -377,20 +419,4 @@ def marvel_learn(
     base = pdag_from_skeleton_and_vstructs(
         p, ghat.skeleton_pairs(), _vouched_vstructures(ghat, forced, pos)
     )
-    essential = apply_meek_rules(base, on_conflict="drop", warnings=warnings)
-
-    post = oracle.phase_stats()
-    degenerate_after = getattr(oracle, "n_degenerate", 0)
-    if degenerate_after > degenerate_before:
-        warnings.append(
-            f"{degenerate_after - degenerate_before} queries had too few "
-            "samples and were declared dependent"
-        )
-    metrics = RunMetrics(
-        n_tests=post.n_tests,
-        asc=post.asc,
-        max_cond=post.max_cond_size,
-        wall_ms=(perf_counter() - t0) * 1000.0,
-        warnings=len(warnings),
-    )
-    return LearnResult(essential, tuple(order), metrics, warnings)
+    return base, tuple(order)

@@ -53,18 +53,14 @@ class MbMap:
         return f"MbMap(p={self.p}, mb={self.mb}, removed={sorted(self.removed)})"
 
 
-def total_conditioning(oracle: CiOracle, p: int | None = None) -> MbMap:
+def total_conditioning(oracle: CiOracle) -> MbMap:
     """Markov boundaries by total conditioning.
 
-    For each of the C(p, 2) pairs, x and y belong to each other's boundary
-    iff they are dependent given all remaining variables. Performs exactly
-    C(p, 2) queries. The oracle already knows p; passing it explicitly is
-    allowed but must agree.
+    For each of the C(p, 2) pairs of the oracle's p variables, x and y
+    belong to each other's boundary iff they are dependent given all
+    remaining variables. Performs exactly C(p, 2) queries.
     """
-    if p is None:
-        p = oracle.p
-    elif p != oracle.p:
-        raise ValueError(f"p={p} disagrees with the oracle's p={oracle.p}")
+    p = oracle.p
     m = MbMap(p)
     everything = frozenset(range(p))
     for x, y in combinations(range(p), 2):

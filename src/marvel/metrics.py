@@ -7,17 +7,12 @@ from dataclasses import dataclass
 
 @dataclass
 class RunMetrics:
-    """Accounting and accuracy for one learner run.
-
-    Learners fill the CI-test fields; precision/recall/f1 stay NaN until a
-    caller with access to the truth graph scores the output.
-    """
+    """CI-test accounting for one learner run, plus its wall time and the
+    number of warnings it recorded. Skeleton accuracy against a truth graph
+    is scored separately by ``bench.skeleton_metrics``."""
 
     n_tests: int = 0
     asc: float = 0.0
     max_cond: int = 0
-    precision: float = float("nan")
-    recall: float = float("nan")
-    f1: float = float("nan")
     wall_ms: float = 0.0
     warnings: int = 0

@@ -24,9 +24,6 @@ RngSeed = int
 
 DEFAULT_COEFF_RANGE = (0.5, 1.0)
 DEFAULT_SD_RANGE = (1.0, math.sqrt(3.0))
-# alternate regime used for the real-world-structure experiments
-WIDE_COEFF_RANGE = (0.5, 2.0)
-NARROW_SD_RANGE = (1.0, math.sqrt(2.0))
 
 
 @dataclass

@@ -9,6 +9,7 @@ phase-split accounting contract.
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import random_dag
@@ -23,9 +24,9 @@ from marvel.bench import (
     simulate_dataset,
     skeleton_metrics,
 )
-from marvel.ci import CiOracle, dsep_oracle, load_dataset
+from marvel.ci import CiOracle, Dataset, dsep_oracle, fisher_z_oracle, load_dataset
 from marvel.graph import Dag, Pdag, cpdag_bruteforce, load_dag, load_pdag
-from marvel.marvel import ci_budget_bound
+from marvel.marvel import ci_budget_bound, marvel_learn
 from marvel.mb import MbMap, total_conditioning
 
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
@@ -134,6 +135,27 @@ class TestPcConflictHandling:
         assert res.essential.directed == frozenset({(0, 3), (1, 2), (3, 2)})
         assert res.metrics.warnings == 1
         assert "kept existing orientation" in res.warnings[0]
+
+
+@pytest.mark.parametrize("learner", [marvel_learn, pc_baseline], ids=["marvel", "pc"])
+class TestUndecidedQueryWarnings:
+    def test_degenerate_boundary_tests_reported(self, learner):
+        # n = 8 rows leave every boundary test (|S| = 6) without samples
+        oracle = fisher_z_oracle(Dataset(np.random.default_rng(0).normal(size=(8, 8))))
+        res = learner(oracle, total_conditioning(oracle))
+        assert oracle.n_degenerate == 28
+        assert res.warnings[-1].startswith("28 queries had too few samples")
+        assert res.metrics.warnings == len(res.warnings)
+
+    def test_collinear_data_completes_with_warning(self, learner):
+        vals = np.random.default_rng(1).normal(size=(200, 4))
+        vals[:, 3] = vals[:, 0] + vals[:, 1]
+        oracle = fisher_z_oracle(Dataset(vals))
+        res = learner(oracle, total_conditioning(oracle))
+        assert oracle.n_singular > 0 and oracle.n_degenerate == 0
+        assert res.warnings[-1].startswith(
+            f"{oracle.n_singular} queries met a singular correlation submatrix"
+        )
 
 
 class TestExperimentConfig:

@@ -90,13 +90,30 @@ class TestDsepOracle:
             x, y, s = random_query(rng, g.p)
             assert o.query(x, y, s) == o.query(y, x, s)
 
-    def test_argument_errors_not_counted(self):
+    def test_undecided_counters_stay_zero(self):
         o = dsep_oracle(Dag(3, [(0, 1)]))
-        with pytest.raises(ValueError):
+        o.query(0, 2, (1,))
+        assert (o.n_degenerate, o.n_singular) == (0, 0)
+
+
+class TestQueryValidation:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: dsep_oracle(Dag(3, [(0, 1)])),
+            lambda: fisher_z_oracle(
+                Dataset(np.random.default_rng(4).normal(size=(30, 3)))
+            ),
+        ],
+        ids=["dsep", "fisher_z"],
+    )
+    def test_argument_errors_not_counted(self, make):
+        o = make()
+        with pytest.raises(ValueError, match="endpoints must differ"):
             o.query(0, 0, ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="may not contain the endpoints"):
             o.query(0, 1, (1,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out of range"):
             o.query(0, 5, ())
         assert o.stats().n_tests == 0
 
@@ -115,6 +132,13 @@ class TestDataset:
         vals = np.ones((10, 2))
         vals[:, 0] = np.arange(10)
         with pytest.raises(ValueError):
+            Dataset(vals)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_values(self, bad):
+        vals = np.random.default_rng(12).normal(size=(10, 3))
+        vals[4, 1] = bad
+        with pytest.raises(ValueError, match="column 1"):
             Dataset(vals)
 
     def test_rejects_tiny(self):
@@ -220,6 +244,15 @@ class TestFisherZ:
         # n = 5 <= |s| + 3 once |s| >= 2
         assert not o.query(0, 1, (2, 3))
         assert o.n_degenerate == 1
+        assert o.stats().n_tests == 1
+
+    def test_singular_submatrix_forced_dependent(self):
+        # x3 = x0 + x1 makes the submatrix of {0, 1, 3} singular
+        vals = np.random.default_rng(13).normal(size=(200, 4))
+        vals[:, 3] = vals[:, 0] + vals[:, 1]
+        o = fisher_z_oracle(Dataset(vals), GaussianCiConfig(alpha=0.05))
+        assert not o.query(0, 2, (1, 3))
+        assert (o.n_singular, o.n_degenerate) == (1, 0)
         assert o.stats().n_tests == 1
 
     def test_alpha_validation(self):

@@ -71,12 +71,6 @@ class TestTotalConditioning:
         assert st.max_cond_size == 5
         assert st.asc == pytest.approx(5.0)
 
-    def test_explicit_p_must_match_oracle(self):
-        g = Dag(3, [(0, 2), (1, 2)])
-        assert total_conditioning(dsep_oracle(g), 3).mb[2] == {0, 1}
-        with pytest.raises(ValueError):
-            total_conditioning(dsep_oracle(g), 4)
-
 
 class TestUpdateAfterRemoval:
     def test_collider_pair_splits(self):
