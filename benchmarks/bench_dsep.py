@@ -39,12 +39,12 @@ def random_queries(rng, p, count):
     return out
 
 
-def time_kernel(fn, pmask, cmask, queries, repeats):
+def time_kernel(fn, masks, queries, repeats):
     best = float("inf")
     for _ in range(repeats):
         t0 = perf_counter()
         for x, y, smask in queries:
-            fn(pmask, cmask, x, y, smask)
+            fn(*masks, x, y, smask)
         best = min(best, perf_counter() - t0)
     return best / len(queries)
 
@@ -54,14 +54,17 @@ def bench_raw_queries(p, n_queries, repeats, seed):
     g = erdos_renyi_dag(p, 2 * p, seed)
     queries = random_queries(rng, p, n_queries)
     pure = time_kernel(
-        graph._dsep_py.dsep_bitmask, g._pmask, g._cmask, queries, repeats
+        graph._dsep_py.dsep_bitmask,
+        (g._pmask, g._cmask, g._amask, g._dmask),
+        queries,
+        repeats,
     )
     if graph._dsepc is None:
         return pure, None
     npmask = np.array(g._pmask, dtype=np.uint64)
     ncmask = np.array(g._cmask, dtype=np.uint64)
     compiled = time_kernel(
-        graph._dsepc.dsep_bitmask, npmask, ncmask, queries, repeats
+        graph._dsepc.dsep_bitmask, (npmask, ncmask), queries, repeats
     )
     return pure, compiled
 

@@ -1,11 +1,14 @@
 """Pure-Python d-separation kernel over integer bitmasks.
 
-Twin of the compiled kernel in ``_dsepc.pyx``. Python ints are unbounded, so
-this version works for any vertex count; the compiled one is capped at 64.
-
-The query uses the classic criterion: x and y are d-separated by S iff they
-are disconnected in the moralized ancestral subgraph of {x, y} | S with the
+Python ints are unbounded, so this kernel works for any vertex count. It uses
+the classic criterion: x and y are d-separated by S iff they are
+disconnected in the moralized ancestral subgraph of {x, y} | S with the
 vertices of S deleted.
+
+Its cost follows what the search visits, not the vertex count. The ancestral
+set comes from the graph's precomputed closures, and a moral row is built
+only for a vertex the search expands. Under total conditioning (S = every
+other vertex) the search expands x alone.
 """
 
 from __future__ import annotations
@@ -14,42 +17,45 @@ from typing import Sequence
 
 
 def dsep_bitmask(
-    pmask: Sequence[int], cmask: Sequence[int], x: int, y: int, smask: int
+    pmask: Sequence[int],
+    cmask: Sequence[int],
+    amask: Sequence[int],
+    dmask: Sequence[int],
+    x: int,
+    y: int,
+    smask: int,
 ) -> bool:
     """True iff x and y are d-separated given the vertex set encoded by smask.
 
     ``pmask[v]`` has bit i set iff i is a parent of v; ``cmask`` likewise for
-    children. Callers guarantee x != y and that neither is in smask.
+    children. ``amask[v]`` holds the ancestors of v, v included, and
+    ``dmask[v]`` its strict descendants. Callers guarantee x != y and that
+    neither is in smask.
     """
+    p = len(pmask)
     seed = (1 << x) | (1 << y) | smask
-    anc = seed
-    frontier = seed
-    while frontier:
-        nxt = 0
-        f = frontier
+    if 2 * seed.bit_count() <= p:
+        # An(seed) is the union of the seed vertices' ancestor closures.
+        anc = 0
+        f = seed
         while f:
             v = (f & -f).bit_length() - 1
             f &= f - 1
-            nxt |= pmask[v]
-        nxt &= ~anc
-        anc |= nxt
-        frontier = nxt
+            anc |= amask[v]
+    else:
+        # A vertex outside a large seed is an ancestor iff it has a
+        # descendant in the seed; only the few outsiders are visited.
+        anc = seed
+        f = ((1 << p) - 1) & ~seed
+        while f:
+            v = (f & -f).bit_length() - 1
+            f &= f - 1
+            if dmask[v] & seed:
+                anc |= 1 << v
 
-    # Moral adjacency restricted to the ancestral set: drop directions, then
-    # connect every pair of co-parents of a common ancestral child.
-    madj = [0] * len(pmask)
-    a = anc
-    while a:
-        w = (a & -a).bit_length() - 1
-        a &= a - 1
-        madj[w] |= (pmask[w] | cmask[w]) & anc
-        pw = pmask[w] & anc
-        q = pw
-        while q:
-            u = (q & -q).bit_length() - 1
-            q &= q - 1
-            madj[u] |= pw & ~(1 << u)
-
+    # Breadth-first search from x in the moral graph of An(seed) with smask
+    # removed. A child inside anc has all its parents inside anc, so a row is
+    # the vertex's parents, its children and its co-parents, clipped to anc.
     ybit = 1 << y
     visited = 1 << x
     frontier = visited
@@ -59,7 +65,13 @@ def dsep_bitmask(
         while f:
             u = (f & -f).bit_length() - 1
             f &= f - 1
-            nxt |= madj[u]
+            nxt |= pmask[u] | cmask[u]
+            c = cmask[u] & anc
+            while c:
+                w = (c & -c).bit_length() - 1
+                c &= c - 1
+                nxt |= pmask[w]
+        nxt &= anc
         if nxt & ybit:
             return False
         nxt &= ~visited & ~smask

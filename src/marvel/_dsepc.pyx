@@ -1,9 +1,10 @@
 # cython: boundscheck=False, wraparound=False, initializedcheck=False
 """Compiled d-separation kernel for graphs with at most 64 vertices.
 
-Same algorithm as the pure-Python twin in ``_dsep_py``: moralize the
-ancestral subgraph of {x, y} | S, then test undirected reachability with S
-removed. All vertex sets are uint64 bitmasks.
+Moralizes the whole ancestral subgraph of {x, y} | S, then tests undirected
+reachability with S removed. All vertex sets are uint64 bitmasks. It answers
+the same queries as ``_dsep_py``, which instead reads the ancestral set from
+precomputed closures and builds moral rows only for the vertices it visits.
 """
 
 from libc.stdint cimport uint64_t

@@ -167,10 +167,11 @@ def partial_correlation_from_corr(corr: np.ndarray, x: int, y: int, s) -> float:
     the Fisher transform stays finite.
     """
     s = check_query(corr.shape[0], x, y, s)
+    x, y = int(x), int(y)
     if not s:
         r = float(corr[x, y])
     else:
-        idx = [x, y, *sorted(s)]
+        idx = [x, y, *map(int, sorted(s))]
         theta = np.linalg.inv(corr[np.ix_(idx, idx)])
         if theta[0, 0] <= 0.0 or theta[1, 1] <= 0.0:
             raise np.linalg.LinAlgError(

@@ -14,6 +14,7 @@ outputs.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Union
 
@@ -48,7 +49,10 @@ class Dag:
     2-cycle, and any directed cycle.
     """
 
-    __slots__ = ("p", "parents", "children", "_pmask", "_cmask", "_npmask", "_ncmask")
+    __slots__ = (
+        "p", "parents", "children",
+        "_pmask", "_cmask", "_amask", "_dmask", "_npmask", "_ncmask",
+    )
 
     def __init__(self, p: int, edges: Iterable[tuple[int, int]] = ()):
         if p < 0:
@@ -65,9 +69,25 @@ class Dag:
         self.p = p
         self.parents = tuple(frozenset(s) for s in parents)
         self.children = tuple(frozenset(s) for s in children)
-        self._check_acyclic()
+        order = self._acyclic_order()
         self._pmask = tuple(sum(1 << v for v in s) for s in self.parents)
         self._cmask = tuple(sum(1 << v for v in s) for s in self.children)
+        # Ancestor (v included) and strict-descendant closures for the d-sep
+        # kernel, each built in one pass over a topological order.
+        amask = [0] * p
+        for v in order:
+            a = 1 << v
+            for u in self.parents[v]:
+                a |= amask[u]
+            amask[v] = a
+        dmask = [0] * p
+        for v in reversed(order):
+            d = 0
+            for c in self.children[v]:
+                d |= (1 << c) | dmask[c]
+            dmask[v] = d
+        self._amask = tuple(amask)
+        self._dmask = tuple(dmask)
         if _dsepc is not None and p <= 64:
             self._npmask = np.array(self._pmask, dtype=np.uint64)
             self._ncmask = np.array(self._cmask, dtype=np.uint64)
@@ -75,19 +95,21 @@ class Dag:
             self._npmask = None
             self._ncmask = None
 
-    def _check_acyclic(self) -> None:
+    def _acyclic_order(self) -> list[int]:
+        """Some topological order; raises if the edges contain a cycle."""
         indeg = [len(s) for s in self.parents]
         stack = [v for v in range(self.p) if indeg[v] == 0]
-        seen = 0
+        order = []
         while stack:
             v = stack.pop()
-            seen += 1
+            order.append(v)
             for c in self.children[v]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     stack.append(c)
-        if seen != self.p:
+        if len(order) != self.p:
             raise ValueError("edge set contains a directed cycle")
+        return order
 
     def neighbors(self, x: int) -> frozenset[int]:
         return self.parents[x] | self.children[x]
@@ -222,17 +244,26 @@ class Pdag:
 AnyGraph = Union[Dag, Pdag]
 
 
+@lru_cache(maxsize=32)
+def _vertices(p: int) -> frozenset[int]:
+    return frozenset(range(p))
+
+
 def check_query(p: int, x: int, y: int, s: Iterable[int]) -> frozenset[int]:
     """Validate a CI query over vertices 0..p-1; returns s as a frozenset.
 
     Every query entry point (the oracles, d-separation, partial correlation)
     checks its arguments here, so all of them reject the same inputs with
-    the same messages.
+    the same messages. A vertex is valid when it equals one of 0..p-1, so
+    numpy integers pass and 2.5 or "2" do not; the kernels convert with
+    ``int`` where they use a vertex as a number.
     """
     s = frozenset(s)
-    for v in (x, y, *s):
-        if not 0 <= v < p:
-            raise ValueError(f"vertex {v} out of range for p={p}")
+    vertices = _vertices(p)
+    if not (x in vertices and y in vertices and s <= vertices):
+        for v in (x, y, *s):
+            if v not in vertices:
+                raise ValueError(f"vertex {v!r} out of range for p={p}")
     if x == y:
         raise ValueError("query endpoints must differ")
     if x in s or y in s:
@@ -243,17 +274,26 @@ def check_query(p: int, x: int, y: int, s: Iterable[int]) -> frozenset[int]:
 def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
     """True iff x and y are d-separated by s in g.
 
-    Linear-time criterion: moralize the ancestral subgraph of {x, y} | s and
-    test undirected reachability with s removed. Dispatches to the compiled
-    kernel when it is available and p <= 64.
+    Moralizes the ancestral subgraph of {x, y} | s and tests undirected
+    reachability with s removed. Dispatches to the compiled kernel when it
+    is available and p <= 64.
     """
     s = check_query(g.p, x, y, s)
-    smask = 0
-    for v in s:
-        smask |= 1 << v
+    x, y = int(x), int(y)
+    if 2 * len(s) > g.p:
+        # A large set is cheaper to encode through its complement.
+        smask = (1 << g.p) - 1
+        for v in _vertices(g.p) - s:
+            smask ^= 1 << v
+    else:
+        smask = 0
+        for v in s:
+            smask |= 1 << int(v)
     if g._npmask is not None:
         return bool(_dsepc.dsep_bitmask(g._npmask, g._ncmask, x, y, smask))
-    return _dsep_py.dsep_bitmask(g._pmask, g._cmask, x, y, smask)
+    return _dsep_py.dsep_bitmask(
+        g._pmask, g._cmask, g._amask, g._dmask, x, y, smask
+    )
 
 
 def descendants(g: Dag, x: int) -> frozenset[int]:

@@ -1,4 +1,5 @@
-"""Harness tests: skeleton scoring, the PC baseline, experiments, and the CLI.
+"""Harness tests: skeleton scoring, the PC baseline, experiments, the CLI,
+and a smoke run of the d-separation timing script.
 
 The PC baseline is validated against cpdag_bruteforce with the exact oracle
 and against a scripted inconsistent oracle for its conflict handling.
@@ -6,8 +7,10 @@ Experiment runs are checked for byte-level CSV determinism and for the
 phase-split accounting contract.
 """
 
+import importlib.util
 import random
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,3 +436,17 @@ class TestCli:
         monkeypatch.setattr(cli, "run_experiment", boom)
         assert cli.main(["bench", str(cfg)]) == 2
         assert "internal error" in capsys.readouterr().err
+
+
+class TestBenchDsepScript:
+    def test_smoke(self, capsys):
+        # The script reaches into the kernels' private signatures, so run it
+        # small here to catch it when a signature changes.
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_dsep.py"
+        spec = importlib.util.spec_from_file_location("bench_dsep", path)
+        bench_dsep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_dsep)
+        argv = ["--p", "10", "--queries", "50", "--repeats", "1", "--learner-seeds", "1"]
+        assert bench_dsep.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "raw kernel" in out and "full run" in out

@@ -96,17 +96,15 @@ class TestDsepOracle:
         assert (o.n_degenerate, o.n_singular) == (0, 0)
 
 
+MAKE_ORACLE = [
+    lambda: dsep_oracle(Dag(3, [(0, 1)])),
+    lambda: fisher_z_oracle(Dataset(np.random.default_rng(4).normal(size=(30, 3)))),
+]
+ORACLE_IDS = ["dsep", "fisher_z"]
+
+
 class TestQueryValidation:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: dsep_oracle(Dag(3, [(0, 1)])),
-            lambda: fisher_z_oracle(
-                Dataset(np.random.default_rng(4).normal(size=(30, 3)))
-            ),
-        ],
-        ids=["dsep", "fisher_z"],
-    )
+    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=ORACLE_IDS)
     def test_argument_errors_not_counted(self, make):
         o = make()
         with pytest.raises(ValueError, match="endpoints must differ"):
@@ -116,6 +114,25 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="out of range"):
             o.query(0, 5, ())
         assert o.stats().n_tests == 0
+
+    @pytest.mark.parametrize(
+        "query",
+        [(0, 1, [2.5]), (0, 1, ["2"]), (0, 1, [None]), (0.5, 1, ()), (0, -1, ())],
+    )
+    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=ORACLE_IDS)
+    def test_non_vertex_rejected_before_counting(self, make, query):
+        o = make()
+        with pytest.raises(ValueError, match="out of range"):
+            o.query(*query)
+        assert o.stats().n_tests == 0
+
+    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=ORACLE_IDS)
+    def test_numpy_integers_accepted(self, make):
+        o = make()
+        i = np.int64
+        assert o.query(i(0), i(2), [i(1)]) == o.query(0, 2, [1])
+        assert o.query(np.intp(2), 0, ()) == o.query(2, 0, ())
+        assert o.stats().n_tests == 4
 
 
 class TestDataset:

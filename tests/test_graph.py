@@ -9,6 +9,7 @@ from the definitions and frozen here.
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +131,18 @@ class TestDSeparation:
             d_separated(DIAMOND, 0, 1, (0,))
         with pytest.raises(ValueError):
             d_separated(DIAMOND, 0, 4, ())
+        with pytest.raises(ValueError, match="out of range"):
+            d_separated(DIAMOND, 0, 1, [2.5])
+
+    @pytest.mark.parametrize("p", [5, 70])
+    def test_numpy_vertices_on_both_encodings(self, p):
+        # |s| = 1 builds the mask from s, |s| = p - 2 from its complement
+        g = random_dag(random.Random(p), p, p)
+        i = np.int64
+        for s in ([2], range(2, p)):
+            assert d_separated(g, i(0), i(1), [i(v) for v in s]) == d_separated(
+                g, 0, 1, s
+            )
 
     def test_symmetry_random(self):
         rng = random.Random(7)
@@ -154,6 +167,41 @@ class TestDSeparation:
             x, y, s = random_query(rng, g.p)
             assert d_separated(g, x, y, s) == d_separated_bruteforce(g, x, y, s)
 
+    @pytest.mark.parametrize("p", [70, 150])
+    def test_matches_moral_reference_past_64_vertices(self, p):
+        # Small s takes the kernel's ancestor-closure branch, |s| > p/2 the
+        # descendant-closure branch; the reference is built from public
+        # functions: ancestral set, induced subgraph, moral graph, search.
+        rng = random.Random(p)
+        for m in (2 * p, 4 * p):
+            g = random_dag(rng, p, m)
+            desc = [descendants(g, v) for v in range(p)]
+            for _ in range(25):
+                x, y = rng.sample(range(p), 2)
+                rest = [v for v in range(p) if v not in (x, y)]
+                for k in (rng.randint(0, p // 2 - 2), rng.randint(p // 2 + 1, p - 2)):
+                    s = frozenset(rng.sample(rest, k))
+                    expected = moral_reference_dsep(g, desc, x, y, s)
+                    assert d_separated(g, x, y, s) == expected
+
+
+def moral_reference_dsep(g, desc, x, y, s):
+    seed = {x, y} | s
+    anc = [v for v in range(g.p) if desc[v] & seed]
+    sub, remap = g.induced_subgraph(anc)
+    adj = {v: set() for v in range(sub.p)}
+    for a, b in moralized_graph(sub).undirected:
+        adj[a].add(b)
+        adj[b].add(a)
+    blocked = {remap[v] for v in s}
+    seen = {remap[x]}
+    stack = [remap[x]]
+    while stack:
+        for w in adj[stack.pop()] - seen - blocked:
+            seen.add(w)
+            stack.append(w)
+    return remap[y] not in seen
+
 
 class TestDescendants:
     def test_diamond(self):
@@ -177,6 +225,16 @@ class TestDescendants:
                                 reach.add(c)
                                 changed = True
                 assert descendants(g, x) == frozenset(reach)
+
+    def test_dag_closures_match_descendants(self):
+        rng = random.Random(5)
+        for p in (1, 9, 70, 150):
+            g = random_dag(rng, p, 2 * p if p > 9 else None)
+            desc = [descendants(g, v) for v in range(p)]
+            for v in range(p):
+                assert g._dmask[v] == sum(1 << w for w in desc[v] - {v})
+                anc = [u for u in range(p) if v in desc[u]]
+                assert g._amask[v] == sum(1 << u for u in anc)
 
 
 class TestRemovabilityGraphical:

@@ -18,6 +18,7 @@ from marvel.graph import (
     markov_boundary_graphical,
 )
 from marvel.mb import MbMap, total_conditioning, update_after_removal
+from marvel.synth import fixed_indegree_dag
 
 
 def graphical_mb_map(g):
@@ -54,6 +55,10 @@ class TestTotalConditioning:
             g = random_dag(rng, rng.randint(1, 10))
             m = total_conditioning(dsep_oracle(g))
             assert m == graphical_mb_map(g)
+
+    def test_matches_graphical_past_64_vertices(self):
+        g = fixed_indegree_dag(150, 4, 0)
+        assert total_conditioning(dsep_oracle(g)) == graphical_mb_map(g)
 
     def test_query_count_exact(self):
         rng = random.Random(73)
