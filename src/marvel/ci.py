@@ -2,8 +2,9 @@
 
 Two oracle families share one interface: exact d-separation queries against a
 known DAG, and Fisher-Z partial-correlation tests on Gaussian data. Every
-call to ``query`` increments the counters exactly once, duplicates included;
-deduplication is always the caller's job. ``query`` returns True iff the pair
+call to ``query`` that returns an answer increments the counters exactly
+once, duplicates included; a call that raises counts nothing. Deduplication
+is always the caller's job. ``query`` returns True iff the pair
 is judged independent given the conditioning set.
 """
 
@@ -14,7 +15,8 @@ from math import atanh, sqrt
 from typing import Iterable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.linalg.lapack import dpotrf
+from scipy.special import ndtri
 
 from .graph import Dag, check_query, d_separated
 
@@ -48,8 +50,8 @@ class CiOracle:
 
     ``n_degenerate`` and ``n_singular`` count, over the oracle's whole life,
     the queries it could not decide and answered "dependent": too few
-    samples for the test, and a singular correlation submatrix. An exact
-    oracle leaves both at 0.
+    samples for the test, and a correlation submatrix that is not positive
+    definite (singular or indefinite). An exact oracle leaves both at 0.
     """
 
     p: int
@@ -62,12 +64,14 @@ class CiOracle:
 
     def query(self, x: int, y: int, s: Iterable[int] = ()) -> bool:
         s = check_query(self.p, x, y, s)
+        answer = self._decide(x, y, s)
+        # Counted only once answered, so a query that raises leaves no trace.
         for acc in (self._stats, self._phase):
             acc.n_tests += 1
             acc.sum_cond_size += len(s)
             if len(s) > acc.max_cond_size:
                 acc.max_cond_size = len(s)
-        return self._decide(x, y, s)
+        return answer
 
     def _decide(self, x: int, y: int, s: frozenset[int]) -> bool:
         raise NotImplementedError
@@ -161,23 +165,34 @@ _CLAMP = 1.0 - 1e-7
 def partial_correlation_from_corr(corr: np.ndarray, x: int, y: int, s) -> float:
     """Partial correlation of x, y given s from a correlation matrix.
 
-    Uses the precision-matrix identity on the (|s|+2)-dimensional submatrix.
-    A singular or non-positive-definite submatrix raises LinAlgError rather
-    than returning a silent junk value. Output is clamped to +-(1 - 1e-7) so
-    the Fisher transform stays finite.
+    Gathers the submatrix over the order [*sorted(s), x, y] and factors it
+    once with a lower Cholesky factorization, L L^T. The trailing 2x2 block
+    L22 of the factor satisfies L22 L22^T = the Schur complement of the s
+    block, which is the conditional covariance of (x, y) given s, so with
+    L22 = [[., 0], [a, b]] the partial correlation is a / sqrt(a^2 + b^2).
+    A submatrix that is not positive definite (singular or indefinite)
+    raises LinAlgError rather than returning a silent junk value. Output is
+    clamped to +-(1 - 1e-7) so the Fisher transform stays finite.
     """
     s = check_query(corr.shape[0], x, y, s)
     x, y = int(x), int(y)
     if not s:
         r = float(corr[x, y])
     else:
-        idx = [x, y, *map(int, sorted(s))]
-        theta = np.linalg.inv(corr[np.ix_(idx, idx)])
-        if theta[0, 0] <= 0.0 or theta[1, 1] <= 0.0:
+        idx = sorted(map(int, s))
+        idx.append(x)
+        idx.append(y)
+        sub = corr.take(idx, axis=0).take(idx, axis=1)
+        # sub.T is a Fortran-ordered view, so LAPACK factors the gathered
+        # copy in place and never touches corr.
+        c, info = dpotrf(sub.T, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
             raise np.linalg.LinAlgError(
                 "submatrix not positive definite; partial correlation undefined"
             )
-        r = float(-theta[0, 1] / sqrt(theta[0, 0] * theta[1, 1]))
+        a = float(c[-1, -2])
+        b = float(c[-1, -1])
+        r = a / sqrt(a * a + b * b)
     return max(-_CLAMP, min(_CLAMP, r))
 
 
@@ -191,9 +206,9 @@ class FisherZOracle(CiOracle):
     z = sqrt(n - |s| - 3) * atanh(rho); independent iff |z| <= the two-sided
     normal quantile for alpha, with ties counted as independent. Samples too
     small for the transform (n <= |s| + 3) are declared dependent and counted
-    in ``n_degenerate``; a singular or non-positive-definite submatrix (as
-    collinear columns give) is declared dependent and counted in
-    ``n_singular``.
+    in ``n_degenerate``; a submatrix that is not positive definite (singular,
+    as collinear columns give, or indefinite) is declared dependent and
+    counted in ``n_singular``.
     """
 
     def __init__(self, dataset: Dataset, config: GaussianCiConfig | None = None) -> None:
@@ -206,7 +221,9 @@ class FisherZOracle(CiOracle):
         self.dataset = dataset
         self.p = dataset.p
         self.alpha = alpha
-        self.z_threshold = float(norm.ppf(1.0 - alpha / 2.0))
+        # ndtri is the standard normal quantile that scipy.stats.norm.ppf
+        # wraps; calling it directly spares importing all of scipy.stats.
+        self.z_threshold = float(ndtri(1.0 - alpha / 2.0))
 
     def _decide(self, x: int, y: int, s: frozenset[int]) -> bool:
         n = self.dataset.n

@@ -6,7 +6,10 @@ closed-form covariance of a two-variable linear model, and the population
 partial correlations from analytic covariance matrices.
 """
 
+import os
 import random
+import subprocess
+import sys
 from math import atanh, sqrt
 
 import numpy as np
@@ -37,6 +40,18 @@ def population_corr(p, edges_with_coeffs, noise_var):
     cov = a @ np.diag(noise_var) @ a.T
     d = np.sqrt(np.diag(cov))
     return cov / np.outer(d, d)
+
+
+# Symmetric with unit diagonal and a positive definite {2, 3} block, but
+# indefinite as a whole (smallest eigenvalue about -0.67).
+INDEFINITE = np.array(
+    [
+        [1.0, 0.3, -0.4, -0.9],
+        [0.3, 1.0, -0.9, 0.6],
+        [-0.4, -0.9, 1.0, 0.8],
+        [-0.9, 0.6, 0.8, 1.0],
+    ]
+)
 
 
 class TestCiStats:
@@ -134,6 +149,20 @@ class TestQueryValidation:
         assert o.query(np.intp(2), 0, ()) == o.query(2, 0, ())
         assert o.stats().n_tests == 4
 
+    @pytest.mark.parametrize("query", [(0, 2 + 0j, ()), (0, 1, [2 + 0j])])
+    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=ORACLE_IDS)
+    def test_query_that_raises_is_not_counted(self, make, query):
+        # 2+0j equals vertex 2, so it passes the check; the kernel's int()
+        # then raises, and the query must leave every counter as it was.
+        o = make()
+        o.query(0, 1, ())
+        o.begin_phase()
+        o.query(0, 2, [1])
+        before = (o.stats(), o.phase_stats())
+        with pytest.raises(TypeError):
+            o.query(*query)
+        assert (o.stats(), o.phase_stats()) == before
+
 
 class TestDataset:
     def test_shape_and_corr(self):
@@ -229,6 +258,66 @@ class TestPartialCorrelation:
         with pytest.raises(np.linalg.LinAlgError):
             partial_correlation_from_corr(base, 0, 3, (1, 2))
 
+    def test_indefinite_submatrix_raises(self):
+        # no partial correlation exists, though both diagonal entries of the
+        # inverse are positive, so checking them alone would accept it
+        assert np.linalg.eigvalsh(INDEFINITE).min() < -0.5
+        with pytest.raises(np.linalg.LinAlgError):
+            partial_correlation_from_corr(INDEFINITE, 0, 1, (2, 3))
+
+
+def inverse_reference(corr, x, y, s):
+    """-theta01 / sqrt(theta00 theta11) from the inverse of the submatrix."""
+    idx = [x, y, *sorted(s)]
+    theta = np.linalg.inv(corr[np.ix_(idx, idx)])
+    return float(-theta[0, 1] / sqrt(theta[0, 0] * theta[1, 1]))
+
+
+def random_corr(rng, p):
+    """A positive definite sample correlation matrix over p variables."""
+    vals = rng.normal(size=(4 * p, p)) @ rng.normal(size=(p, p))
+    return np.corrcoef(vals, rowvar=False)
+
+
+class TestCholeskyKernel:
+    def test_matches_inverse_reference(self):
+        rng = np.random.default_rng(14)
+        checked = 0
+        for _ in range(20):
+            corr = random_corr(rng, 30)
+            for k in range(21):
+                x, y, *s = (np.int64(v) for v in rng.permutation(30)[: k + 2])
+                got = partial_correlation_from_corr(corr, x, y, s)
+                assert got == pytest.approx(
+                    inverse_reference(corr, x, y, s), abs=1e-12
+                ), (x, y, s)
+                checked += 1
+        assert checked == 20 * 21
+
+    def test_symmetric_and_order_free(self):
+        rng = np.random.default_rng(15)
+        corr = random_corr(rng, 30)
+        for k in range(21):
+            x, y, *s = (int(v) for v in rng.permutation(30)[: k + 2])
+            r = partial_correlation_from_corr(corr, x, y, frozenset(s))
+            assert partial_correlation_from_corr(corr, y, x, s) == pytest.approx(
+                r, abs=1e-12
+            )
+            shuffled = list(s)
+            random.Random(k).shuffle(shuffled)
+            assert partial_correlation_from_corr(corr, x, y, shuffled) == r
+
+    def test_leaves_corr_untouched(self):
+        # the factorization overwrites its input, which must only ever be
+        # the gathered copy
+        rng = np.random.default_rng(16)
+        corr = random_corr(rng, 30)
+        before = corr.copy()
+        for k in range(21):
+            x, y, *s = (int(v) for v in rng.permutation(30)[: k + 2])
+            partial_correlation_from_corr(corr, x, y, s)
+        assert corr.tobytes() == before.tobytes()
+
 
 class TestFisherZ:
     def test_default_alpha(self):
@@ -272,6 +361,14 @@ class TestFisherZ:
         assert (o.n_singular, o.n_degenerate) == (1, 0)
         assert o.stats().n_tests == 1
 
+    def test_indefinite_submatrix_forced_dependent(self):
+        d = Dataset(np.random.default_rng(17).normal(size=(200, 4)))
+        d.corr = INDEFINITE.copy()
+        o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+        assert not o.query(0, 1, (2, 3))
+        assert (o.n_singular, o.n_degenerate) == (1, 0)
+        assert o.stats().n_tests == 1
+
     def test_alpha_validation(self):
         rng = np.random.default_rng(8)
         d = Dataset(rng.normal(size=(10, 2)))
@@ -283,6 +380,23 @@ class TestFisherZ:
         d = Dataset(rng.normal(size=(100, 5)))
         o = fisher_z_oracle(d)
         assert o.alpha == pytest.approx(2 / 25)
+
+    @pytest.mark.parametrize("alpha", [2 / 2500, 2 / 625, 0.001, 0.01, 0.05, 0.2])
+    def test_threshold_equals_scipy_stats_quantile(self, alpha):
+        from scipy.stats import norm
+
+        d = Dataset(np.random.default_rng(18).normal(size=(20, 2)))
+        o = fisher_z_oracle(d, GaussianCiConfig(alpha=alpha))
+        assert o.z_threshold == float(norm.ppf(1.0 - alpha / 2.0))
+
+    def test_import_does_not_load_scipy_stats(self):
+        code = "import sys, marvel; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "False"
 
     def test_larger_n_rejects_smaller_correlations(self):
         # same sample correlation, more data: |z| grows, so dependence is

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dag
-from marvel.ci import dsep_oracle
+from marvel.bench import simulate_dataset, solve
+from marvel.ci import dsep_oracle, fisher_z_oracle
 from marvel.graph import (
     Dag,
     cpdag_bruteforce,
@@ -33,6 +34,7 @@ from marvel.marvel import (
     marvel_learn,
 )
 from marvel.mb import total_conditioning
+from marvel.synth import fixed_indegree_dag
 
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -397,3 +399,32 @@ class TestRunProperties:
             res = learn(g)
             assert res.warnings == []
             assert res.metrics.warnings == 0
+
+
+# Two cheap cells of the finite-sample acceptance workload (p=50, in-degree
+# 4, n=2500), pinned so that a faster partial-correlation kernel cannot move
+# a Fisher-Z count or decision unnoticed: (seed, boundary-phase tests,
+# post-boundary tests, elimination order).
+FISHER_Z_CELLS = [
+    (6, 1225, 5434, (
+        0, 1, 33, 41, 21, 28, 37, 29, 48, 19, 40, 31, 23, 8, 35, 38, 43, 32,
+        18, 24, 34, 45, 11, 42, 16, 12, 46, 3, 15, 47, 22, 2, 26, 5, 13, 36,
+        10, 7, 20, 6, 27, 39, 4, 30, 14, 17, 9, 25, 44, 49,
+    )),
+    (9, 1225, 10406, (
+        8, 1, 26, 30, 0, 6, 11, 3, 45, 28, 17, 38, 35, 15, 40, 25, 7, 21, 29,
+        47, 48, 4, 18, 32, 9, 49, 24, 42, 22, 23, 14, 34, 37, 2, 46, 10, 43,
+        19, 27, 41, 13, 16, 31, 44, 39, 5, 12, 20, 33, 36,
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, mb_tests, post_tests, order", FISHER_Z_CELLS, ids=["seed6", "seed9"]
+)
+def test_fisher_z_counts_and_order_pinned(seed, mb_tests, post_tests, order):
+    g = fixed_indegree_dag(50, 4, seed)
+    oracle = fisher_z_oracle(simulate_dataset(g, 2500, seed))
+    got_mb, res = solve(oracle, "marvel")
+    assert (got_mb, res.metrics.n_tests) == (mb_tests, post_tests)
+    assert res.elimination_order == order
