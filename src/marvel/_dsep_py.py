@@ -5,10 +5,21 @@ the classic criterion: x and y are d-separated by S iff they are
 disconnected in the moralized ancestral subgraph of {x, y} | S with the
 vertices of S deleted.
 
-Its cost follows what the search visits, not the vertex count. The ancestral
-set comes from the graph's precomputed closures, and a moral row is built
-only for a vertex the search expands. Under total conditioning (S = every
-other vertex) the search expands x alone.
+Before that search it looks for a short-path certificate, an open path of at
+most two edges, each a sufficient condition for d-connection:
+
+- an edge between x and y;
+- a vertex z outside S that is a common parent (an open fork x <- z -> y) or
+  lies between them (an open chain x -> z -> y or y -> z -> x);
+- a common child that is in S or has a descendant in S (an open collider).
+
+Most queries of the learner's subset searches end there, since the pairs it
+tests are mostly adjacent or share a parent or child.
+
+Otherwise its cost follows what the search visits, not the vertex count. The
+ancestral set comes from the graph's precomputed closures, and a moral row is
+built only for a vertex the search expands. Under total conditioning (S =
+every other vertex) the search expands x alone.
 """
 
 from __future__ import annotations
@@ -32,8 +43,22 @@ def dsep_bitmask(
     ``dmask[v]`` its strict descendants. Callers guarantee x != y and that
     neither is in smask.
     """
+    ybit = 1 << y
+    px = pmask[x]
+    cx = cmask[x]
+    py = pmask[y]
+    # Short-path certificates: an edge, an open fork or chain, an open collider.
+    if (px | cx) & ybit or (px & (py | cmask[y]) | cx & py) & ~smask:
+        return False
+    c = cx & cmask[y]
+    while c:
+        w = (c & -c).bit_length() - 1
+        c &= c - 1
+        if ((1 << w) | dmask[w]) & smask:
+            return False
+
     p = len(pmask)
-    seed = (1 << x) | (1 << y) | smask
+    seed = (1 << x) | ybit | smask
     if 2 * seed.bit_count() <= p:
         # An(seed) is the union of the seed vertices' ancestor closures.
         anc = 0
@@ -56,7 +81,6 @@ def dsep_bitmask(
     # Breadth-first search from x in the moral graph of An(seed) with smask
     # removed. A child inside anc has all its parents inside anc, so a row is
     # the vertex's parents, its children and its co-parents, clipped to anc.
-    ybit = 1 << y
     visited = 1 << x
     frontier = visited
     while frontier:

@@ -15,8 +15,6 @@ from math import atanh, sqrt
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
-from scipy.special import ndtri
 
 from .graph import Dag, check_query, d_separated
 
@@ -41,9 +39,14 @@ class CiStats:
 
 
 class CiOracle:
-    """Base oracle: argument checking and accounting around ``_decide``.
+    """Base oracle: accounting around ``_decide``.
 
-    Subclasses set ``self.p`` and implement ``_decide(x, y, s)``. Alongside
+    Subclasses set ``self.p`` and implement ``_decide(x, y, s)``, which gets
+    s as a frozenset and owns argument validation: it must reject a bad
+    query with ``check_query``'s errors before deciding anything. A query is
+    counted only after ``_decide`` returns, so a rejected one counts
+    nothing. ``DsepOracle`` is validated by ``d_separated``; ``FisherZOracle``
+    calls ``check_query`` itself. Alongside
     the cumulative ``stats()`` the oracle keeps a phase window that callers
     may reset with ``begin_phase()`` to split accounting into stages (for
     example boundary discovery vs structure recovery).
@@ -63,7 +66,7 @@ class CiOracle:
         self._phase = CiStats()
 
     def query(self, x: int, y: int, s: Iterable[int] = ()) -> bool:
-        s = check_query(self.p, x, y, s)
+        s = frozenset(s)
         answer = self._decide(x, y, s)
         # Counted only once answered, so a query that raises leaves no trace.
         for acc in (self._stats, self._phase):
@@ -87,7 +90,10 @@ class CiOracle:
 
 
 class DsepOracle(CiOracle):
-    """Exact oracle answering queries by d-separation in a known DAG."""
+    """Exact oracle answering queries by d-separation in a known DAG.
+
+    ``d_separated`` validates each query, so the oracle does not repeat it.
+    """
 
     def __init__(self, dag: Dag) -> None:
         super().__init__()
@@ -162,6 +168,25 @@ class GaussianCiConfig:
 _CLAMP = 1.0 - 1e-7
 
 
+def _bind_scipy() -> None:
+    """Bind the scipy routines of the Fisher-Z path over this module's names.
+
+    Deferred so that the exact path never imports scipy, which costs about
+    0.35 s and 30 MB. ``FisherZOracle`` binds them when it is built; a
+    direct call of ``partial_correlation_from_corr`` binds them on its first
+    use through the ``dpotrf`` stand-in below.
+    """
+    global dpotrf, ndtri
+    from scipy.linalg.lapack import dpotrf
+    from scipy.special import ndtri
+
+
+def dpotrf(a, **kwargs):
+    """Stand-in for scipy's dpotrf: replaces itself on its first call."""
+    _bind_scipy()
+    return dpotrf(a, **kwargs)
+
+
 def partial_correlation_from_corr(corr: np.ndarray, x: int, y: int, s) -> float:
     """Partial correlation of x, y given s from a correlation matrix.
 
@@ -221,11 +246,15 @@ class FisherZOracle(CiOracle):
         self.dataset = dataset
         self.p = dataset.p
         self.alpha = alpha
+        _bind_scipy()
         # ndtri is the standard normal quantile that scipy.stats.norm.ppf
         # wraps; calling it directly spares importing all of scipy.stats.
         self.z_threshold = float(ndtri(1.0 - alpha / 2.0))
 
     def _decide(self, x: int, y: int, s: frozenset[int]) -> bool:
+        # Validated before the degenerate branch, which never reaches the
+        # kernel's own check.
+        check_query(self.p, x, y, s)
         n = self.dataset.n
         if n <= len(s) + 3:
             self.n_degenerate += 1

@@ -22,19 +22,14 @@ import numpy as np
 
 from . import _dsep_py
 
-try:
-    from . import _dsepc
-except ImportError:
-    _dsepc = None
-
 
 class GraphConsistencyError(ValueError):
     """Orientation rules forced both directions of the same edge."""
 
 
 def kernel_name() -> str:
-    """Name of the d-separation kernel selected at import time."""
-    return "compiled" if _dsepc is not None else "pure-python"
+    """Name of the d-separation kernel; there is one, in ``_dsep_py``."""
+    return "pure-python"
 
 
 def _pair(i: int, j: int) -> tuple[int, int]:
@@ -51,7 +46,7 @@ class Dag:
 
     __slots__ = (
         "p", "parents", "children",
-        "_pmask", "_cmask", "_amask", "_dmask", "_npmask", "_ncmask",
+        "_pmask", "_cmask", "_amask", "_dmask",
     )
 
     def __init__(self, p: int, edges: Iterable[tuple[int, int]] = ()):
@@ -88,12 +83,6 @@ class Dag:
             dmask[v] = d
         self._amask = tuple(amask)
         self._dmask = tuple(dmask)
-        if _dsepc is not None and p <= 64:
-            self._npmask = np.array(self._pmask, dtype=np.uint64)
-            self._ncmask = np.array(self._cmask, dtype=np.uint64)
-        else:
-            self._npmask = None
-            self._ncmask = None
 
     def _acyclic_order(self) -> list[int]:
         """Some topological order; raises if the edges contain a cycle."""
@@ -274,9 +263,11 @@ def check_query(p: int, x: int, y: int, s: Iterable[int]) -> frozenset[int]:
 def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
     """True iff x and y are d-separated by s in g.
 
-    Moralizes the ancestral subgraph of {x, y} | s and tests undirected
-    reachability with s removed. Dispatches to the compiled kernel when it
-    is available and p <= 64.
+    Answers "d-connected" at once when an open path of at most two edges
+    joins x and y: an edge; a vertex outside s that is a common parent of x
+    and y or lies between them on a directed path; or a common child that is
+    in s or has a descendant in s. Otherwise moralizes the ancestral subgraph
+    of {x, y} | s and tests undirected reachability with s removed.
     """
     s = check_query(g.p, x, y, s)
     x, y = int(x), int(y)
@@ -289,8 +280,6 @@ def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
         smask = 0
         for v in s:
             smask |= 1 << int(v)
-    if g._npmask is not None:
-        return bool(_dsepc.dsep_bitmask(g._npmask, g._ncmask, x, y, smask))
     return _dsep_py.dsep_bitmask(
         g._pmask, g._cmask, g._amask, g._dmask, x, y, smask
     )

@@ -1,5 +1,4 @@
-"""Harness tests: skeleton scoring, the PC baseline, experiments, the CLI,
-and a smoke run of the d-separation timing script.
+"""Harness tests: skeleton scoring, the PC baseline, experiments and the CLI.
 
 The PC baseline is validated against cpdag_bruteforce with the exact oracle
 and against a scripted inconsistent oracle for its conflict handling.
@@ -7,10 +6,8 @@ Experiment runs are checked for byte-level CSV determinism and for the
 phase-split accounting contract.
 """
 
-import importlib.util
 import random
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,16 +434,3 @@ class TestCli:
         assert cli.main(["bench", str(cfg)]) == 2
         assert "internal error" in capsys.readouterr().err
 
-
-class TestBenchDsepScript:
-    def test_smoke(self, capsys):
-        # The script reaches into the kernels' private signatures, so run it
-        # small here to catch it when a signature changes.
-        path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_dsep.py"
-        spec = importlib.util.spec_from_file_location("bench_dsep", path)
-        bench_dsep = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench_dsep)
-        argv = ["--p", "10", "--queries", "50", "--repeats", "1", "--learner-seeds", "1"]
-        assert bench_dsep.main(argv) == 0
-        out = capsys.readouterr().out
-        assert "raw kernel" in out and "full run" in out

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dag, random_query
+from marvel import ci, graph
 from marvel.ci import (
     CiStats,
     Dataset,
@@ -162,6 +163,89 @@ class TestQueryValidation:
         with pytest.raises(TypeError):
             o.query(*query)
         assert (o.stats(), o.phase_stats()) == before
+
+
+class TestValidatedOnce:
+    def test_dsep_query_checked_once(self, monkeypatch):
+        rng = random.Random(71)
+        g = random_dag(rng, 9)
+        queries = [random_query(rng, g.p) for _ in range(60)]
+        expected = [d_separated(g, x, y, s) for x, y, s in queries]
+        calls = []
+        check = graph.check_query
+
+        def counting_check(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(graph, "check_query", counting_check)
+        monkeypatch.setattr(ci, "check_query", counting_check)
+        o = dsep_oracle(g)
+        for k, ((x, y, s), answer) in enumerate(zip(queries, expected), 1):
+            assert o.query(x, y, s) == answer
+            assert len(calls) == k
+        assert o.stats().n_tests == 60
+
+    @pytest.mark.parametrize("bad", [9, -1, 2.5, "3", None])
+    def test_degenerate_fisher_z_query_checked_before_counting(self, bad):
+        d = Dataset(np.random.default_rng(7).normal(size=(5, 4)))
+        o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+        o.query(0, 1, ())
+        o.begin_phase()
+        # n = 5 <= |s| + 3 once |s| >= 2: the branch that skips the kernel
+        assert not o.query(0, 1, (2, 3))
+        before = (o.stats(), o.phase_stats(), o.n_degenerate)
+        with pytest.raises(ValueError, match="out of range"):
+            o.query(0, 1, (2, bad))
+        assert (o.stats(), o.phase_stats(), o.n_degenerate) == before
+
+
+def run_python(code):
+    """Stdout of ``code`` run by a fresh interpreter that sees this package."""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    return out.stdout.strip()
+
+
+SCIPY_MODULES = "[k for k in ('scipy.linalg.lapack', 'scipy.special') if k in sys.modules]"
+
+
+class TestScipyDeferred:
+    def test_exact_path_loads_no_scipy(self):
+        code = f"""
+import sys, numpy as np, marvel
+from marvel import ci
+o = marvel.dsep_oracle(marvel.fixed_indegree_dag(15, 3, 0))
+marvel.marvel_learn(o, marvel.total_conditioning(o))
+print([k for k in sys.modules if k.split('.')[0] == 'scipy'])
+d = marvel.Dataset(np.random.default_rng(0).normal(size=(50, 3)))
+marvel.fisher_z_oracle(d)
+print({SCIPY_MODULES})
+from scipy.linalg import lapack
+print(ci.dpotrf is lapack.dpotrf)
+"""
+        lines = run_python(code).splitlines()
+        assert lines == ["[]", "['scipy.linalg.lapack', 'scipy.special']", "True"]
+
+    def test_partial_correlation_binds_scipy_on_first_use(self):
+        # Chain 0 - 2 - 1: corr(0, 1) = 0.5 * 0.5, so rho(0, 1 | 2) = 0.
+        code = f"""
+import sys, numpy as np
+from marvel import partial_correlation_from_corr
+corr = np.array([[1.0, 0.25, 0.5], [0.25, 1.0, 0.5], [0.5, 0.5, 1.0]])
+print({SCIPY_MODULES})
+print(partial_correlation_from_corr(corr, 0, 1, [2]))
+print(partial_correlation_from_corr(corr, 0, 1, [2]))
+print({SCIPY_MODULES})
+"""
+        lines = run_python(code).splitlines()
+        assert lines[0] == "[]"
+        assert float(lines[1]) == pytest.approx(0.0, abs=1e-12)
+        assert lines[2] == lines[1]
+        assert lines[3] == "['scipy.linalg.lapack', 'scipy.special']"
 
 
 class TestDataset:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dag, random_query
+from marvel import _dsep_py
 from marvel.graph import (
     Dag,
     GraphConsistencyError,
@@ -201,6 +202,97 @@ def moral_reference_dsep(g, desc, x, y, s):
             seen.add(w)
             stack.append(w)
     return remap[y] not in seen
+
+
+class _NoAncestors:
+    """Stands in for the ancestor closures: the kernel reads them only once
+    its short-path certificates have all failed."""
+
+    def __getitem__(self, v):
+        raise LookupError(v)
+
+
+def certified(g, x, y, s):
+    """True iff the kernel answers before it builds the ancestral set."""
+    # A seed of at most p/2 vertices takes the branch that reads amask.
+    assert 2 * (len(s) + 2) <= g.p
+    smask = sum(1 << v for v in s)
+    try:
+        answer = _dsep_py.dsep_bitmask(
+            g._pmask, g._cmask, _NoAncestors(), g._dmask, x, y, smask
+        )
+    except LookupError:
+        return False
+    assert answer is False
+    return True
+
+
+def short_open_path(g, x, y, s):
+    """Reference: an open path of at most two edges joins x and y given s."""
+    if y in g.neighbors(x):
+        return True
+    for z in g.neighbors(x) & g.neighbors(y):
+        if x in g.parents[z] and y in g.parents[z]:
+            if descendants(g, z) & s:
+                return True
+        elif z not in s:
+            return True
+    return False
+
+
+# name: (edges, x, y, s, d-separated, answered by a certificate), on 10
+# vertices; vertices that no edge names are isolated.
+CERTIFICATE_CASES = {
+    "edge": ([(0, 1)], 0, 1, {2}, False, True),
+    "fork_open": ([(2, 0), (2, 1)], 0, 1, set(), False, True),
+    "fork_parent_in_s": ([(2, 0), (2, 1)], 0, 1, {2}, True, False),
+    "chain_open": ([(0, 2), (2, 1)], 0, 1, set(), False, True),
+    "reverse_chain_open": ([(1, 2), (2, 0)], 0, 1, {3}, False, True),
+    "chain_middle_in_s": ([(0, 2), (2, 1)], 0, 1, {2}, True, False),
+    "collider_in_s": ([(0, 2), (1, 2)], 0, 1, {2}, False, True),
+    "collider_no_descendant_in_s": (
+        [(0, 2), (1, 2), (2, 3)], 0, 1, {4}, True, False,
+    ),
+    "collider_grandchild_in_s": (
+        [(0, 2), (1, 2), (2, 3), (3, 4)], 0, 1, {4}, False, True,
+    ),
+    "only_open_path_has_three_edges": (
+        [(0, 2), (3, 2), (3, 1)], 0, 1, {2}, False, False,
+    ),
+    "only_path_is_a_long_chain": ([(0, 2), (2, 3), (3, 1)], 0, 1, set(), False, False),
+}
+
+
+class TestShortPathCertificates:
+    @pytest.mark.parametrize(
+        "edges, x, y, s, separated, cert",
+        list(CERTIFICATE_CASES.values()),
+        ids=list(CERTIFICATE_CASES),
+    )
+    def test_hand_built(self, edges, x, y, s, separated, cert):
+        g = Dag(10, edges)
+        assert d_separated_bruteforce(g, x, y, s) is separated
+        assert d_separated(g, x, y, s) is separated
+        assert d_separated(g, y, x, s) is separated
+        assert certified(g, x, y, s) is cert
+        assert certified(g, y, x, s) is cert
+
+    @pytest.mark.parametrize("m", [12, 15, 18])
+    def test_every_query_of_dense_dags(self, m):
+        # p = 7 reaches both ancestral-set branches; the same edges padded
+        # with isolated vertices keep every seed on the branch that reads
+        # amask, so a query is certified iff the search never starts.
+        g = random_dag(random.Random(m), 7, m)
+        padded = Dag(16, g.edges())
+        for x, y in combinations(range(7), 2):
+            rest = [v for v in range(7) if v not in (x, y)]
+            for s in enumerate_subsets(rest):
+                expected = d_separated_bruteforce(g, x, y, s)
+                assert d_separated(g, x, y, s) == expected
+                assert d_separated(g, y, x, s) == expected
+                short = short_open_path(g, x, y, s)
+                assert certified(padded, x, y, s) == short
+                assert certified(padded, y, x, s) == short
 
 
 class TestDescendants:
