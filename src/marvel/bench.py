@@ -128,10 +128,12 @@ ALGOS = tuple(LEARNERS)
 def solve(oracle: CiOracle, algo: str) -> tuple[int, LearnResult]:
     """Boundary discovery by total conditioning, then the named learner.
 
-    Returns the boundary-phase test count and the learner's result.
+    Returns the boundary-phase test count, which leaves out any query the
+    oracle answered before, and the learner's result.
     """
+    before = oracle.stats().n_tests
     mb0 = total_conditioning(oracle)
-    mb_tests = oracle.stats().n_tests
+    mb_tests = oracle.stats().n_tests - before
     return mb_tests, LEARNERS[algo](oracle, mb0)
 
 

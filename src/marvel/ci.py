@@ -34,9 +34,6 @@ class CiStats:
             return 0.0
         return self.sum_cond_size / self.n_tests
 
-    def copy(self) -> "CiStats":
-        return CiStats(self.n_tests, self.sum_cond_size, self.max_cond_size)
-
 
 class CiOracle:
     """Base oracle: accounting around ``_decide``.
@@ -46,10 +43,17 @@ class CiOracle:
     query with ``check_query``'s errors before deciding anything. A query is
     counted only after ``_decide`` returns, so a rejected one counts
     nothing. ``DsepOracle`` is validated by ``d_separated``; ``FisherZOracle``
-    calls ``check_query`` itself. Alongside
-    the cumulative ``stats()`` the oracle keeps a phase window that callers
-    may reset with ``begin_phase()`` to split accounting into stages (for
-    example boundary discovery vs structure recovery).
+    calls ``check_query`` itself. Alongside the cumulative ``stats()`` the
+    oracle keeps a phase window that callers may reset with
+    ``begin_phase()`` to split accounting into stages (for example boundary
+    discovery vs structure recovery).
+
+    The counters are plain ints: the lifetime query count and
+    conditioning-set sum, the same two as they stood when the phase began,
+    the largest set in the phase, and the largest set before it. ``query``
+    updates three of them; ``stats()`` and ``phase_stats()`` build their
+    ``CiStats`` from them on demand, and ``begin_phase()`` folds the phase's
+    largest set into the earlier one.
 
     ``n_degenerate`` and ``n_singular`` count, over the oracle's whole life,
     the queries it could not decide and answered "dependent": too few
@@ -62,31 +66,46 @@ class CiOracle:
     n_singular = 0
 
     def __init__(self) -> None:
-        self._stats = CiStats()
-        self._phase = CiStats()
+        self._n_tests = 0
+        self._sum_cond = 0
+        self._phase_n_tests = 0
+        self._phase_sum_cond = 0
+        self._phase_max_cond = 0
+        self._max_cond_before = 0
 
     def query(self, x: int, y: int, s: Iterable[int] = ()) -> bool:
         s = frozenset(s)
         answer = self._decide(x, y, s)
         # Counted only once answered, so a query that raises leaves no trace.
-        for acc in (self._stats, self._phase):
-            acc.n_tests += 1
-            acc.sum_cond_size += len(s)
-            if len(s) > acc.max_cond_size:
-                acc.max_cond_size = len(s)
+        k = len(s)
+        self._n_tests += 1
+        self._sum_cond += k
+        if k > self._phase_max_cond:
+            self._phase_max_cond = k
         return answer
 
     def _decide(self, x: int, y: int, s: frozenset[int]) -> bool:
         raise NotImplementedError
 
     def stats(self) -> CiStats:
-        return self._stats.copy()
+        return CiStats(
+            self._n_tests,
+            self._sum_cond,
+            max(self._max_cond_before, self._phase_max_cond),
+        )
 
     def begin_phase(self) -> None:
-        self._phase = CiStats()
+        self._max_cond_before = max(self._max_cond_before, self._phase_max_cond)
+        self._phase_max_cond = 0
+        self._phase_n_tests = self._n_tests
+        self._phase_sum_cond = self._sum_cond
 
     def phase_stats(self) -> CiStats:
-        return self._phase.copy()
+        return CiStats(
+            self._n_tests - self._phase_n_tests,
+            self._sum_cond - self._phase_sum_cond,
+            self._phase_max_cond,
+        )
 
 
 class DsepOracle(CiOracle):

@@ -46,7 +46,7 @@ class Dag:
 
     __slots__ = (
         "p", "parents", "children",
-        "_pmask", "_cmask", "_amask", "_dmask",
+        "_pmask", "_cmask", "_amask", "_dmask", "_mmask", "_bits",
     )
 
     def __init__(self, p: int, edges: Iterable[tuple[int, int]] = ()):
@@ -65,8 +65,17 @@ class Dag:
         self.parents = tuple(frozenset(s) for s in parents)
         self.children = tuple(frozenset(s) for s in children)
         order = self._acyclic_order()
-        self._pmask = tuple(sum(1 << v for v in s) for s in self.parents)
-        self._cmask = tuple(sum(1 << v for v in s) for s in self.children)
+        self._bits = bits = tuple(1 << v for v in range(p))
+        self._pmask = tuple(sum(bits[v] for v in s) for s in self.parents)
+        self._cmask = tuple(sum(bits[v] for v in s) for s in self.children)
+        # Moral rows: parents, children and co-parents, v itself left out.
+        mmask = []
+        for v in range(p):
+            m = self._pmask[v] | self._cmask[v]
+            for c in self.children[v]:
+                m |= self._pmask[c]
+            mmask.append(m & ~bits[v])
+        self._mmask = tuple(mmask)
         # Ancestor (v included) and strict-descendant closures for the d-sep
         # kernel, each built in one pass over a topological order.
         amask = [0] * p
@@ -263,25 +272,35 @@ def check_query(p: int, x: int, y: int, s: Iterable[int]) -> frozenset[int]:
 def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
     """True iff x and y are d-separated by s in g.
 
-    Answers "d-connected" at once when an open path of at most two edges
-    joins x and y: an edge; a vertex outside s that is a common parent of x
-    and y or lies between them on a directed path; or a common child that is
-    in s or has a descendant in s. Otherwise moralizes the ancestral subgraph
+    Answers from a certificate when one holds. "d-connected" at once when an
+    open path of at most two edges joins x and y: an edge; a vertex outside
+    s that is a common parent of x and y or lies between them on a directed
+    path; or a common child that is in s or has a descendant in s. Failing
+    that, "d-separated" when every parent, child and co-parent of x is in
+    s, or every one of y's is. Otherwise moralizes the ancestral subgraph
     of {x, y} | s and tests undirected reachability with s removed.
     """
     s = check_query(g.p, x, y, s)
     x, y = int(x), int(y)
+    bits = g._bits
     if 2 * len(s) > g.p:
         # A large set is cheaper to encode through its complement.
         smask = (1 << g.p) - 1
         for v in _vertices(g.p) - s:
-            smask ^= 1 << v
+            smask ^= bits[v]
     else:
         smask = 0
-        for v in s:
-            smask |= 1 << int(v)
+        try:
+            for v in s:
+                smask |= bits[v]
+        except TypeError:
+            # A float such as 2.0 equals a vertex but cannot index the table;
+            # int() answers it as that vertex and raises for a complex one.
+            smask = 0
+            for v in s:
+                smask |= 1 << int(v)
     return _dsep_py.dsep_bitmask(
-        g._pmask, g._cmask, g._amask, g._dmask, x, y, smask
+        g._pmask, g._cmask, g._amask, g._dmask, g._mmask, x, y, smask
     )
 
 

@@ -23,6 +23,7 @@ from marvel.bench import (
     run_experiment,
     simulate_dataset,
     skeleton_metrics,
+    solve,
 )
 from marvel.ci import CiOracle, Dataset, dsep_oracle, fisher_z_oracle, load_dataset
 from marvel.graph import Dag, Pdag, cpdag_bruteforce, load_dag, load_pdag
@@ -266,6 +267,17 @@ class TestRunExperiment:
     def test_boundary_phase_is_all_pairs(self):
         for row in run_experiment(DSEP_CFG)[:-1]:
             assert row["mb_tests"] == 10 * 9 // 2
+
+    @pytest.mark.parametrize("algo", ["marvel", "pc"])
+    def test_solve_counts_only_its_own_boundary_queries(self, algo):
+        g = random_dag(random.Random(5), 10, 15)
+        fresh = solve(dsep_oracle(g), algo)
+        o = dsep_oracle(g)
+        o.query(0, 1)
+        mb_tests, res = solve(o, algo)
+        assert mb_tests == 10 * 9 // 2
+        assert res.metrics.n_tests == fresh[1].metrics.n_tests
+        assert o.stats().n_tests == 1 + mb_tests + res.metrics.n_tests
 
     def test_exact_oracle_recovery_is_perfect(self):
         for row in run_experiment(DSEP_CFG)[:-1]:

@@ -81,6 +81,30 @@ class TestCiStats:
         ph = o.phase_stats()
         assert ph.n_tests == 1 and ph.max_cond_size == 1
 
+    def test_lifetime_max_spans_phases(self):
+        o = dsep_oracle(Dag(5, [(0, 1)]))
+        o.query(0, 1, (2, 3, 4))
+        o.begin_phase()
+        o.query(0, 2, (1,))
+        assert (o.stats().n_tests, o.stats().max_cond_size) == (2, 3)
+        assert (o.phase_stats().n_tests, o.phase_stats().max_cond_size) == (1, 1)
+
+    def test_consecutive_phases_report_own_queries(self):
+        o = dsep_oracle(Dag(5, [(0, 1)]))
+        o.query(0, 1, (2,))
+        o.begin_phase()
+        o.query(0, 2, (1, 3))
+        o.query(0, 3, ())
+        first = o.phase_stats()
+        o.begin_phase()
+        assert o.phase_stats() == CiStats()
+        o.query(1, 2, (0, 3, 4))
+        second = o.phase_stats()
+        assert (first.n_tests, first.sum_cond_size, first.max_cond_size) == (2, 2, 2)
+        assert (second.n_tests, second.sum_cond_size, second.max_cond_size) == (1, 3, 3)
+        st = o.stats()
+        assert (st.n_tests, st.sum_cond_size, st.max_cond_size) == (4, 6, 3)
+
     def test_stats_returns_copy(self):
         g = Dag(2, [(0, 1)])
         o = dsep_oracle(g)
@@ -149,6 +173,15 @@ class TestQueryValidation:
         assert o.query(i(0), i(2), [i(1)]) == o.query(0, 2, [1])
         assert o.query(np.intp(2), 0, ()) == o.query(2, 0, ())
         assert o.stats().n_tests == 4
+
+    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=ORACLE_IDS)
+    def test_float_vertices_answered_as_the_vertex_they_equal(self, make):
+        o = make()
+        assert o.query(0, 2.0, [1]) == o.query(0, 2, [1])
+        assert o.query(2.0, 1, ()) == o.query(2, 1, ())
+        assert o.query(0, 1, [2.0]) == o.query(0, 1, [2])
+        st = o.stats()
+        assert (st.n_tests, st.sum_cond_size) == (6, 4)
 
     @pytest.mark.parametrize("query", [(0, 2 + 0j, ()), (0, 1, [2 + 0j])])
     @pytest.mark.parametrize("make", MAKE_ORACLE, ids=ORACLE_IDS)

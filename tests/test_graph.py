@@ -38,6 +38,7 @@ from marvel.graph import (
     skeleton,
     v_structures,
 )
+from marvel.synth import fixed_indegree_dag
 
 # Diamond-with-chord used throughout: X=0, Y=1, Z=2, T=3.
 DIAMOND = Dag(4, [(0, 1), (0, 2), (1, 2), (3, 1), (3, 2)])
@@ -204,27 +205,24 @@ def moral_reference_dsep(g, desc, x, y, s):
     return remap[y] not in seen
 
 
-class _NoAncestors:
-    """Stands in for the ancestor closures: the kernel reads them only once
-    its short-path certificates have all failed."""
+class _NoSearch(tuple):
+    """Parent rows whose length the kernel reads only once its certificates
+    have all failed, as the first step of its ancestral search."""
 
-    def __getitem__(self, v):
-        raise LookupError(v)
+    def __len__(self):
+        raise LookupError("search started")
 
 
 def certified(g, x, y, s):
-    """True iff the kernel answers before it builds the ancestral set."""
-    # A seed of at most p/2 vertices takes the branch that reads amask.
-    assert 2 * (len(s) + 2) <= g.p
+    """The kernel's answer if a certificate gave it, None if it searched."""
     smask = sum(1 << v for v in s)
     try:
-        answer = _dsep_py.dsep_bitmask(
-            g._pmask, g._cmask, _NoAncestors(), g._dmask, x, y, smask
+        return _dsep_py.dsep_bitmask(
+            _NoSearch(g._pmask), g._cmask, g._amask, g._dmask, g._mmask,
+            x, y, smask,
         )
     except LookupError:
-        return False
-    assert answer is False
-    return True
+        return None
 
 
 def short_open_path(g, x, y, s):
@@ -240,30 +238,58 @@ def short_open_path(g, x, y, s):
     return False
 
 
-# name: (edges, x, y, s, d-separated, answered by a certificate), on 10
-# vertices; vertices that no edge names are isolated.
+def covered(g, x, y, s):
+    """Reference: every moral neighbor of x other than y is in s, or every
+    moral neighbor of y other than x is."""
+    moral = moralized_graph(g).undirected
+    for a, b in ((x, y), (y, x)):
+        row = {j for i, j in moral if i == a} | {i for i, j in moral if j == a}
+        if row - {b} <= s:
+            return True
+    return False
+
+
+def expected_certificate(g, x, y, s):
+    """False (d-connected) for a short open path, else True (d-separated)
+    for a covered pair, else None: the kernel must search."""
+    if short_open_path(g, x, y, s):
+        return False
+    return True if covered(g, x, y, s) else None
+
+
+# name: (edges, x, y, s, d-separated, the certificate's answer or None when
+# the kernel must search), on 10 vertices; vertices that no edge names are
+# isolated.
 CERTIFICATE_CASES = {
-    "edge": ([(0, 1)], 0, 1, {2}, False, True),
-    "fork_open": ([(2, 0), (2, 1)], 0, 1, set(), False, True),
-    "fork_parent_in_s": ([(2, 0), (2, 1)], 0, 1, {2}, True, False),
-    "chain_open": ([(0, 2), (2, 1)], 0, 1, set(), False, True),
-    "reverse_chain_open": ([(1, 2), (2, 0)], 0, 1, {3}, False, True),
-    "chain_middle_in_s": ([(0, 2), (2, 1)], 0, 1, {2}, True, False),
-    "collider_in_s": ([(0, 2), (1, 2)], 0, 1, {2}, False, True),
+    "edge": ([(0, 1)], 0, 1, {2}, False, False),
+    "fork_open": ([(2, 0), (2, 1)], 0, 1, set(), False, False),
+    "fork_parent_in_s": ([(2, 0), (2, 1)], 0, 1, {2}, True, True),
+    "chain_open": ([(0, 2), (2, 1)], 0, 1, set(), False, False),
+    "reverse_chain_open": ([(1, 2), (2, 0)], 0, 1, {3}, False, False),
+    "chain_middle_in_s": ([(0, 2), (2, 1)], 0, 1, {2}, True, True),
+    "collider_in_s": ([(0, 2), (1, 2)], 0, 1, {2}, False, False),
     "collider_no_descendant_in_s": (
-        [(0, 2), (1, 2), (2, 3)], 0, 1, {4}, True, False,
+        [(0, 2), (1, 2), (2, 3)], 0, 1, {4}, True, None,
     ),
     "collider_grandchild_in_s": (
-        [(0, 2), (1, 2), (2, 3), (3, 4)], 0, 1, {4}, False, True,
+        [(0, 2), (1, 2), (2, 3), (3, 4)], 0, 1, {4}, False, False,
     ),
     "only_open_path_has_three_edges": (
-        [(0, 2), (3, 2), (3, 1)], 0, 1, {2}, False, False,
+        [(0, 2), (3, 2), (3, 1)], 0, 1, {2}, False, None,
     ),
-    "only_path_is_a_long_chain": ([(0, 2), (2, 3), (3, 1)], 0, 1, set(), False, False),
+    "only_path_is_a_long_chain": ([(0, 2), (2, 3), (3, 1)], 0, 1, set(), False, None),
+    "only_y_row_covered": ([(2, 0), (3, 0), (4, 1), (4, 5)], 0, 1, {4}, True, True),
+    "coparent_outside_s": ([(0, 2), (3, 2), (5, 1)], 0, 1, {2}, True, None),
+    "coparent_through_child_outside_ancestors": (
+        [(0, 2), (1, 2), (2, 3), (4, 0), (5, 1)], 0, 1, {4, 5}, True, None,
+    ),
 }
 
 
 class TestShortPathCertificates:
+    """Both kinds of certificate: short open paths answer "d-connected",
+    covered moral rows answer "d-separated", and only the rest search."""
+
     @pytest.mark.parametrize(
         "edges, x, y, s, separated, cert",
         list(CERTIFICATE_CASES.values()),
@@ -274,25 +300,32 @@ class TestShortPathCertificates:
         assert d_separated_bruteforce(g, x, y, s) is separated
         assert d_separated(g, x, y, s) is separated
         assert d_separated(g, y, x, s) is separated
+        assert expected_certificate(g, x, y, s) is cert
         assert certified(g, x, y, s) is cert
         assert certified(g, y, x, s) is cert
 
     @pytest.mark.parametrize("m", [12, 15, 18])
     def test_every_query_of_dense_dags(self, m):
-        # p = 7 reaches both ancestral-set branches; the same edges padded
-        # with isolated vertices keep every seed on the branch that reads
-        # amask, so a query is certified iff the search never starts.
+        # p = 7 reaches both ancestral-set branches of the search.
         g = random_dag(random.Random(m), 7, m)
-        padded = Dag(16, g.edges())
         for x, y in combinations(range(7), 2):
             rest = [v for v in range(7) if v not in (x, y)]
             for s in enumerate_subsets(rest):
                 expected = d_separated_bruteforce(g, x, y, s)
                 assert d_separated(g, x, y, s) == expected
                 assert d_separated(g, y, x, s) == expected
-                short = short_open_path(g, x, y, s)
-                assert certified(padded, x, y, s) == short
-                assert certified(padded, y, x, s) == short
+                cert = expected_certificate(g, x, y, s)
+                assert certified(g, x, y, s) is cert
+                assert certified(g, y, x, s) is cert
+                assert cert is None or cert == expected
+
+    def test_total_conditioning_never_searches(self):
+        g = fixed_indegree_dag(150, 4, 0)
+        everything = frozenset(range(g.p))
+        for x, y in combinations(range(g.p), 2):
+            answer = certified(g, x, y, everything - {x, y})
+            assert answer is not None
+            assert answer is (y not in markov_boundary_graphical(g, x))
 
 
 class TestDescendants:
