@@ -42,9 +42,11 @@ class CiOracle:
     s as a frozenset and owns argument validation: it must reject a bad
     query with ``check_query``'s errors before deciding anything. A query is
     counted only after ``_decide`` returns, so a rejected one counts
-    nothing. ``DsepOracle`` is validated by ``d_separated``; ``FisherZOracle``
-    calls ``check_query`` itself. Alongside the cumulative ``stats()`` the
-    oracle keeps a phase window that callers may reset with
+    nothing. Each query is validated once, by the kernel that decides it:
+    ``d_separated`` for ``DsepOracle`` and ``partial_correlation_from_corr``
+    for ``FisherZOracle``, which calls ``check_query`` itself only for the
+    degenerate queries that never reach its kernel. Alongside the cumulative
+    ``stats()`` the oracle keeps a phase window that callers may reset with
     ``begin_phase()`` to split accounting into stages (for example boundary
     discovery vs structure recovery).
 
@@ -200,10 +202,10 @@ def _bind_scipy() -> None:
     from scipy.special import ndtri
 
 
-def dpotrf(a, **kwargs):
+def dpotrf(*args, **kwargs):
     """Stand-in for scipy's dpotrf: replaces itself on its first call."""
     _bind_scipy()
-    return dpotrf(a, **kwargs)
+    return dpotrf(*args, **kwargs)
 
 
 def partial_correlation_from_corr(corr: np.ndarray, x: int, y: int, s) -> float:
@@ -219,17 +221,21 @@ def partial_correlation_from_corr(corr: np.ndarray, x: int, y: int, s) -> float:
     clamped to +-(1 - 1e-7) so the Fisher transform stays finite.
     """
     s = check_query(corr.shape[0], x, y, s)
-    x, y = int(x), int(y)
     if not s:
-        r = float(corr[x, y])
+        r = float(corr[int(x), int(y)])
     else:
-        idx = sorted(map(int, s))
+        idx = sorted(s)
         idx.append(x)
         idx.append(y)
+        # One conversion serves both gathers; it turns a vertex given as a
+        # numpy integer or an integral float into that vertex, and raises
+        # TypeError for a complex one.
+        idx = np.array(idx, dtype=np.intp)
         sub = corr.take(idx, axis=0).take(idx, axis=1)
         # sub.T is a Fortran-ordered view, so LAPACK factors the gathered
-        # copy in place and never touches corr.
-        c, info = dpotrf(sub.T, lower=1, clean=0, overwrite_a=1)
+        # copy in place and never touches corr. Positional arguments in
+        # f2py's order: lower=1, clean=0, overwrite_a=1.
+        c, info = dpotrf(sub.T, 1, 0, 1)
         if info != 0:
             raise np.linalg.LinAlgError(
                 "submatrix not positive definite; partial correlation undefined"
@@ -253,6 +259,12 @@ class FisherZOracle(CiOracle):
     in ``n_degenerate``; a submatrix that is not positive definite (singular,
     as collinear columns give, or indefinite) is declared dependent and
     counted in ``n_singular``.
+
+    A degenerate query is validated here with ``check_query`` before it is
+    counted; every other query is validated by the kernel,
+    ``partial_correlation_from_corr``, alone. The oracle keeps only the
+    sample count ``n`` and the correlation matrix ``corr`` of its dataset,
+    so the sample matrix is freed with the ``Dataset`` it came from.
     """
 
     def __init__(self, dataset: Dataset, config: GaussianCiConfig | None = None) -> None:
@@ -262,7 +274,8 @@ class FisherZOracle(CiOracle):
             alpha = default_alpha(dataset.p)
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        self.dataset = dataset
+        self.n = dataset.n
+        self.corr = dataset.corr
         self.p = dataset.p
         self.alpha = alpha
         _bind_scipy()
@@ -271,15 +284,14 @@ class FisherZOracle(CiOracle):
         self.z_threshold = float(ndtri(1.0 - alpha / 2.0))
 
     def _decide(self, x: int, y: int, s: frozenset[int]) -> bool:
-        # Validated before the degenerate branch, which never reaches the
-        # kernel's own check.
-        check_query(self.p, x, y, s)
-        n = self.dataset.n
+        n = self.n
         if n <= len(s) + 3:
+            # This branch never reaches the kernel's own check.
+            check_query(self.p, x, y, s)
             self.n_degenerate += 1
             return False
         try:
-            r = partial_correlation_from_corr(self.dataset.corr, x, y, s)
+            r = partial_correlation_from_corr(self.corr, x, y, s)
         except np.linalg.LinAlgError:
             self.n_singular += 1
             return False

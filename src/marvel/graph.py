@@ -217,9 +217,6 @@ class Pdag:
             or (j, i) in self.directed
         )
 
-    def directed_parents(self, x: int) -> frozenset[int]:
-        return frozenset(i for i, j in self.directed if j == x)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pdag):
             return NotImplemented
@@ -286,8 +283,12 @@ def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
     if 2 * len(s) > g.p:
         # A large set is cheaper to encode through its complement.
         smask = (1 << g.p) - 1
-        for v in _vertices(g.p) - s:
-            smask ^= bits[v]
+        if len(s) == g.p - 2:
+            # Total conditioning: check_query has shown s is all but x, y.
+            smask ^= bits[x] ^ bits[y]
+        else:
+            for v in _vertices(g.p) - s:
+                smask ^= bits[v]
     else:
         smask = 0
         try:
@@ -419,8 +420,12 @@ def v_structures(g: AnyGraph) -> frozenset[tuple[int, int, int]]:
                 if a not in g.neighbors(b):
                     out.add((a, c, b))
     else:
-        for c in range(g.p):
-            for a, b in combinations(sorted(g.directed_parents(c)), 2):
+        # Every vertex's directed parents from one pass over the edges.
+        parents: list[list[int]] = [[] for _ in range(g.p)]
+        for a, c in g.directed:
+            parents[c].append(a)
+        for c, pa in enumerate(parents):
+            for a, b in combinations(sorted(pa), 2):
                 if not g.adjacent(a, b):
                     out.add((a, c, b))
     return frozenset(out)

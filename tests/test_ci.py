@@ -6,10 +6,12 @@ closed-form covariance of a two-variable linear model, and the population
 partial correlations from analytic covariance matrices.
 """
 
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from math import atanh, sqrt
 
 import numpy as np
@@ -219,6 +221,28 @@ class TestValidatedOnce:
             assert len(calls) == k
         assert o.stats().n_tests == 60
 
+    def test_fisher_z_query_checked_once(self, monkeypatch):
+        rng = random.Random(72)
+        d = Dataset(np.random.default_rng(72).normal(size=(200, 9)))
+        queries = [random_query(rng, 9) for _ in range(60)]
+        reference = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+        expected = [reference.query(x, y, s) for x, y, s in queries]
+        calls = []
+        check = graph.check_query
+
+        def counting_check(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(graph, "check_query", counting_check)
+        monkeypatch.setattr(ci, "check_query", counting_check)
+        o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+        for k, ((x, y, s), answer) in enumerate(zip(queries, expected), 1):
+            assert o.query(x, y, s) == answer
+            assert len(calls) == k
+        assert o.stats().n_tests == 60
+        assert (o.n_degenerate, o.n_singular) == (0, 0)
+
     @pytest.mark.parametrize("bad", [9, -1, 2.5, "3", None])
     def test_degenerate_fisher_z_query_checked_before_counting(self, bad):
         d = Dataset(np.random.default_rng(7).normal(size=(5, 4)))
@@ -424,6 +448,43 @@ class TestCholeskyKernel:
             random.Random(k).shuffle(shuffled)
             assert partial_correlation_from_corr(corr, x, y, shuffled) == r
 
+    def test_bit_identical_to_list_gather(self):
+        # Frozen copy of the earlier gather: a list of Python ints taken
+        # twice and dpotrf called with keywords. The kernel must return
+        # the very same float for int, numpy-int and float vertices.
+        from scipy.linalg.lapack import dpotrf
+
+        def list_gather(corr, x, y, s):
+            x, y = int(x), int(y)
+            if not s:
+                r = float(corr[x, y])
+            else:
+                idx = sorted(map(int, s))
+                idx.append(x)
+                idx.append(y)
+                sub = corr.take(idx, axis=0).take(idx, axis=1)
+                c, info = dpotrf(sub.T, lower=1, clean=0, overwrite_a=1)
+                assert info == 0
+                a = float(c[-1, -2])
+                b = float(c[-1, -1])
+                r = a / sqrt(a * a + b * b)
+            return max(-ci._CLAMP, min(ci._CLAMP, r))
+
+        rng = np.random.default_rng(19)
+        checked = 0
+        for _ in range(10):
+            corr = random_corr(rng, 30)
+            for k in range(21):
+                x, y, *s = (int(v) for v in rng.permutation(30)[: k + 2])
+                expected = list_gather(corr, x, y, s)
+                for kind in (int, np.int64, float):
+                    got = partial_correlation_from_corr(
+                        corr, kind(x), kind(y), [kind(v) for v in s]
+                    )
+                    assert got == expected, (kind, x, y, s)
+                    checked += 1
+        assert checked == 10 * 21 * 3
+
     def test_leaves_corr_untouched(self):
         # the factorization overwrites its input, which must only ever be
         # the gathered copy
@@ -485,6 +546,17 @@ class TestFisherZ:
         assert not o.query(0, 1, (2, 3))
         assert (o.n_singular, o.n_degenerate) == (1, 0)
         assert o.stats().n_tests == 1
+
+    def test_oracle_does_not_keep_sample_matrix(self):
+        d = Dataset(np.random.default_rng(20).normal(size=(300, 5)))
+        values = weakref.ref(d.values)
+        o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+        answer = o.query(0, 1, (2, 3))
+        del d
+        gc.collect()
+        assert values() is None
+        assert o.query(0, 1, (2, 3)) == answer
+        assert (o.n, o.corr.shape) == (300, (5, 5))
 
     def test_alpha_validation(self):
         rng = np.random.default_rng(8)

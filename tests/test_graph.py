@@ -480,6 +480,31 @@ class TestMoralSkeletonVStructs:
         pd = Pdag(4, directed=[(0, 2), (1, 2)], undirected=[(2, 3)])
         assert v_structures(pd) == frozenset({(0, 2, 1)})
 
+    def test_v_structures_random_pdags_match_triple_definition(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            p = rng.randint(1, 9)
+            directed, undirected = [], []
+            for i, j in combinations(range(p), 2):
+                kind = rng.randrange(4)
+                if kind == 1:
+                    undirected.append((i, j))
+                elif kind == 2:
+                    directed.append((i, j))
+                elif kind == 3:
+                    directed.append((j, i))
+            pd = Pdag(p, directed, undirected)
+            adjacent = {frozenset(e) for e in directed + undirected}
+            expected = frozenset(
+                (a, c, b)
+                for a, b in combinations(range(p), 2)
+                for c in range(p)
+                if (a, c) in pd.directed
+                and (b, c) in pd.directed
+                and frozenset((a, b)) not in adjacent
+            )
+            assert v_structures(pd) == expected
+
 
 class TestPdag:
     def test_rejects_conflicting_edge(self):
