@@ -156,7 +156,8 @@ class Dataset:
         self.n = n
         self.p = p
         self.values = values
-        corr = np.corrcoef(values, rowvar=False)
+        # corrcoef returns a 0-d array for a single column.
+        corr = np.atleast_2d(np.corrcoef(values, rowvar=False))
         corr = np.clip(corr, -1.0, 1.0)
         np.fill_diagonal(corr, 1.0)
         self.corr = corr

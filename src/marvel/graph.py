@@ -20,15 +20,13 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from . import _dsep_py
-
 
 class GraphConsistencyError(ValueError):
     """Orientation rules forced both directions of the same edge."""
 
 
 def kernel_name() -> str:
-    """Name of the d-separation kernel; there is one, in ``_dsep_py``."""
+    """Name of the d-separation kernel: ``d_separated``, in pure Python."""
     return "pure-python"
 
 
@@ -64,7 +62,9 @@ class Dag:
         self.p = p
         self.parents = tuple(frozenset(s) for s in parents)
         self.children = tuple(frozenset(s) for s in children)
-        order = self._acyclic_order()
+        order = self.topological_order()
+        if len(order) != p:
+            raise ValueError("edge set contains a directed cycle")
         self._bits = bits = tuple(1 << v for v in range(p))
         self._pmask = tuple(sum(bits[v] for v in s) for s in self.parents)
         self._cmask = tuple(sum(bits[v] for v in s) for s in self.children)
@@ -92,22 +92,6 @@ class Dag:
             dmask[v] = d
         self._amask = tuple(amask)
         self._dmask = tuple(dmask)
-
-    def _acyclic_order(self) -> list[int]:
-        """Some topological order; raises if the edges contain a cycle."""
-        indeg = [len(s) for s in self.parents]
-        stack = [v for v in range(self.p) if indeg[v] == 0]
-        order = []
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for c in self.children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    stack.append(c)
-        if len(order) != self.p:
-            raise ValueError("edge set contains a directed cycle")
-        return order
 
     def neighbors(self, x: int) -> frozenset[int]:
         return self.parents[x] | self.children[x]
@@ -269,26 +253,40 @@ def check_query(p: int, x: int, y: int, s: Iterable[int]) -> frozenset[int]:
 def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
     """True iff x and y are d-separated by s in g.
 
+    Works on the bitmasks ``Dag`` precomputes: parent and child rows,
+    ancestor closures (v included), strict-descendant closures and moral rows
+    (parents, children and co-parents, v excluded). Python ints are
+    unbounded, so any vertex count works.
+
     Answers from a certificate when one holds. "d-connected" at once when an
     open path of at most two edges joins x and y: an edge; a vertex outside
     s that is a common parent of x and y or lies between them on a directed
-    path; or a common child that is in s or has a descendant in s. Failing
-    that, "d-separated" when every parent, child and co-parent of x is in
-    s, or every one of y's is. Otherwise moralizes the ancestral subgraph
-    of {x, y} | s and tests undirected reachability with s removed.
+    path; or a common child that is in s or has a descendant in s. Most
+    queries of the learner's subset searches end there, since the pairs it
+    tests are mostly adjacent or share a parent or child.
+
+    Failing that, "d-separated" when every vertex of x's moral row is in s,
+    or every one of y's is. In the moral graph of the ancestral set the
+    neighbors of x are a subset of its row, and y, which is never in s, is
+    then not among them, so no path leaves x outside s. This answers every
+    query of total conditioning (s = every other vertex) without a search:
+    a pair in each other's Markov boundary is adjacent or has a common child
+    in s, which the short-path certificates answer, and for any other pair
+    the row lies in s.
+
+    Otherwise applies the moralization criterion: x and y are d-separated
+    iff they are disconnected in the moralized ancestral subgraph of
+    {x, y} | s with s removed. The ancestral set is the union of the seed
+    vertices' ancestor closures, and a moral row clipped to it is built only
+    for a vertex the search expands, so the cost follows what the search
+    visits rather than the vertex count.
     """
     s = check_query(g.p, x, y, s)
     x, y = int(x), int(y)
     bits = g._bits
-    if 2 * len(s) > g.p:
-        # A large set is cheaper to encode through its complement.
-        smask = (1 << g.p) - 1
-        if len(s) == g.p - 2:
-            # Total conditioning: check_query has shown s is all but x, y.
-            smask ^= bits[x] ^ bits[y]
-        else:
-            for v in _vertices(g.p) - s:
-                smask ^= bits[v]
+    if 2 * len(s) > g.p and len(s) == g.p - 2:
+        # Total conditioning: check_query has shown s is all but x, y.
+        smask = ((1 << g.p) - 1) ^ bits[x] ^ bits[y]
     else:
         smask = 0
         try:
@@ -300,9 +298,61 @@ def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
             smask = 0
             for v in s:
                 smask |= 1 << int(v)
-    return _dsep_py.dsep_bitmask(
-        g._pmask, g._cmask, g._amask, g._dmask, g._mmask, x, y, smask
-    )
+
+    pmask = g._pmask
+    cmask = g._cmask
+    xbit = bits[x]
+    ybit = bits[y]
+    px = pmask[x]
+    cx = cmask[x]
+    py = pmask[y]
+    # Short-path certificates: an edge, an open fork or chain, an open collider.
+    if (px | cx) & ybit or (px & (py | cmask[y]) | cx & py) & ~smask:
+        return False
+    dmask = g._dmask
+    c = cx & cmask[y]
+    while c:
+        w = (c & -c).bit_length() - 1
+        c &= c - 1
+        if ((1 << w) | dmask[w]) & smask:
+            return False
+    # Separation certificate: x's or y's whole moral row lies in s.
+    mmask = g._mmask
+    if not mmask[x] & ~smask or not mmask[y] & ~smask:
+        return True
+
+    # An({x, y} | s) is the union of the seed vertices' ancestor closures.
+    amask = g._amask
+    anc = 0
+    f = xbit | ybit | smask
+    while f:
+        v = (f & -f).bit_length() - 1
+        f &= f - 1
+        anc |= amask[v]
+    # Breadth-first search from x in the moral graph of anc with s removed.
+    # A child inside anc has all its parents inside anc, so a row is the
+    # vertex's parents, its children and its co-parents, clipped to anc.
+    visited = xbit
+    frontier = visited
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            u = (f & -f).bit_length() - 1
+            f &= f - 1
+            nxt |= pmask[u] | cmask[u]
+            c = cmask[u] & anc
+            while c:
+                w = (c & -c).bit_length() - 1
+                c &= c - 1
+                nxt |= pmask[w]
+        nxt &= anc
+        if nxt & ybit:
+            return False
+        nxt &= ~visited & ~smask
+        visited |= nxt
+        frontier = nxt
+    return True
 
 
 def descendants(g: Dag, x: int) -> frozenset[int]:

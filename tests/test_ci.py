@@ -31,7 +31,9 @@ from marvel.ci import (
     partial_correlation_from_corr,
     save_dataset,
 )
-from marvel.graph import Dag, d_separated
+from marvel.graph import Dag, Pdag, d_separated
+from marvel.marvel import marvel_learn
+from marvel.mb import total_conditioning
 
 
 def population_corr(p, edges_with_coeffs, noise_var):
@@ -199,6 +201,16 @@ class TestQueryValidation:
             o.query(*query)
         assert (o.stats(), o.phase_stats()) == before
 
+    def test_complex_vertex_in_a_large_set_is_not_counted(self):
+        # |s| = 4 of p = 7 is more than half the vertices but short of total
+        # conditioning, so s is still encoded from its own elements.
+        o = dsep_oracle(Dag(7, [(0, 2), (2, 1)]))
+        o.query(0, 1, [2, 3])
+        before = o.stats()
+        with pytest.raises(TypeError):
+            o.query(0, 1, [2 + 0j, 3, 4, 5])
+        assert o.stats() == before
+
 
 class TestValidatedOnce:
     def test_dsep_query_checked_once(self, monkeypatch):
@@ -331,6 +343,22 @@ class TestDataset:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             Dataset(np.ones((1, 3)))
+
+    def test_single_column(self):
+        d = Dataset(np.random.default_rng(9).normal(size=(10, 1)))
+        assert d.corr.tolist() == [[1.0]]
+
+    def test_single_column_learns_the_one_vertex_graph(self):
+        d = Dataset(np.random.default_rng(9).normal(size=(10, 1)))
+        o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+        result = marvel_learn(o, total_conditioning(o))
+        assert result.essential == Pdag(1)
+        assert result.warnings == []
+
+    def test_single_column_default_alpha_rejected(self):
+        d = Dataset(np.random.default_rng(9).normal(size=(10, 1)))
+        with pytest.raises(ValueError, match="alpha default needs p >= 2"):
+            fisher_z_oracle(d)
 
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -6,6 +6,7 @@ essential graph. Expected values in the fixed examples were derived by hand
 from the definitions and frozen here.
 """
 
+import copy
 import random
 from itertools import combinations
 
@@ -15,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dag, random_query
-from marvel import _dsep_py
 from marvel.graph import (
     Dag,
     GraphConsistencyError,
@@ -138,10 +138,10 @@ class TestDSeparation:
 
     @pytest.mark.parametrize("p", [5, 70])
     def test_numpy_vertices_on_both_encodings(self, p):
-        # |s| = 1 builds the mask from s, |s| = p - 2 from its complement
+        # |s| = p - 2 is encoded from x and y alone, every other set from s
         g = random_dag(random.Random(p), p, p)
         i = np.int64
-        for s in ([2], range(2, p)):
+        for s in ([2], range(2, p // 2 + 3), range(2, p)):
             assert d_separated(g, i(0), i(1), [i(v) for v in s]) == d_separated(
                 g, 0, 1, s
             )
@@ -171,9 +171,9 @@ class TestDSeparation:
 
     @pytest.mark.parametrize("p", [70, 150])
     def test_matches_moral_reference_past_64_vertices(self, p):
-        # Small s takes the kernel's ancestor-closure branch, |s| > p/2 the
-        # descendant-closure branch; the reference is built from public
-        # functions: ancestral set, induced subgraph, moral graph, search.
+        # Sets both smaller and larger than p/2; the reference is built from
+        # public functions: ancestral set, induced subgraph, moral graph,
+        # search.
         rng = random.Random(p)
         for m in (2 * p, 4 * p):
             g = random_dag(rng, p, m)
@@ -206,21 +206,19 @@ def moral_reference_dsep(g, desc, x, y, s):
 
 
 class _NoSearch(tuple):
-    """Parent rows whose length the kernel reads only once its certificates
+    """Ancestor closures, which d_separated reads only once its certificates
     have all failed, as the first step of its ancestral search."""
 
-    def __len__(self):
+    def __getitem__(self, v):
         raise LookupError("search started")
 
 
 def certified(g, x, y, s):
-    """The kernel's answer if a certificate gave it, None if it searched."""
-    smask = sum(1 << v for v in s)
+    """d_separated's answer if a certificate gave it, None if it searched."""
+    probe = copy.copy(g)
+    probe._amask = _NoSearch(g._amask)
     try:
-        return _dsep_py.dsep_bitmask(
-            _NoSearch(g._pmask), g._cmask, g._amask, g._dmask, g._mmask,
-            x, y, smask,
-        )
+        return d_separated(probe, x, y, s)
     except LookupError:
         return None
 
@@ -306,7 +304,8 @@ class TestShortPathCertificates:
 
     @pytest.mark.parametrize("m", [12, 15, 18])
     def test_every_query_of_dense_dags(self, m):
-        # p = 7 reaches both ancestral-set branches of the search.
+        # p = 7 puts every subset of the other five vertices, up to total
+        # conditioning, through the certificates and the search.
         g = random_dag(random.Random(m), 7, m)
         for x, y in combinations(range(7), 2):
             rest = [v for v in range(7) if v not in (x, y)]
