@@ -61,7 +61,7 @@ def skeleton_metrics(learned: Pdag, truth: Dag) -> tuple[float, float, float]:
     if learned.p != truth.p:
         raise ValueError("graphs disagree on p")
     l_edges = learned.skeleton_pairs()
-    t_edges = frozenset(_pair(u, v) for u, v in truth.edges())
+    t_edges = truth.skeleton_pairs()
     hit = len(l_edges & t_edges)
     precision = hit / len(l_edges) if l_edges else (1.0 if not t_edges else 0.0)
     recall = hit / len(t_edges) if t_edges else 1.0
@@ -100,12 +100,11 @@ def _pc_sweep(
                 others = sorted(adj[x] - {y})
                 if len(others) < level:
                     continue
-                for s in combinations(others, level):
-                    if oracle.query(x, y, frozenset(s)):
-                        adj[x].discard(y)
-                        adj[y].discard(x)
-                        sepsets[_pair(x, y)] = frozenset(s)
-                        break
+                s = oracle.first_independent(x, y, combinations(others, level))
+                if s is not None:
+                    adj[x].discard(y)
+                    adj[y].discard(x)
+                    sepsets[_pair(x, y)] = s
         level += 1
 
     directed: set[tuple[int, int]] = set()

@@ -50,6 +50,10 @@ class CiOracle:
     ``begin_phase()`` to split accounting into stages (for example boundary
     discovery vs structure recovery).
 
+    ``first_independent(x, y, candidates)`` is the one subset search the
+    learners use: it asks ``query`` once per candidate up to the first
+    independence, so a search counts exactly the prefix it tried.
+
     The counters are plain ints: the lifetime query count and
     conditioning-set sum, the same two as they stood when the phase began,
     the largest set in the phase, and the largest set before it. ``query``
@@ -85,6 +89,23 @@ class CiOracle:
         if k > self._phase_max_cond:
             self._phase_max_cond = k
         return answer
+
+    def first_independent(
+        self, x: int, y: int, candidates: Iterable[Iterable[int]]
+    ) -> frozenset[int] | None:
+        """The first candidate set given which x and y test independent.
+
+        Asks ``query`` once per candidate, in order, and returns the first
+        set answered independent as a frozenset, or None when none is, so
+        exactly the candidates tried are counted. A candidate that fails
+        validation raises; only the candidates before it stay counted.
+        """
+        query = self.query
+        for s in candidates:
+            s = frozenset(s)
+            if query(x, y, s):
+                return s
+        return None
 
     def _decide(self, x: int, y: int, s: frozenset[int]) -> bool:
         raise NotImplementedError

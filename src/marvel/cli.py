@@ -24,7 +24,6 @@ from dataclasses import replace
 from .bench import (
     ALGOS,
     GENERATORS,
-    ORACLES,
     generate_dag,
     load_config,
     rows_to_csv,
@@ -67,7 +66,6 @@ def _build_parser() -> _Parser:
     learn.add_argument("--graph", help="truth DAG edge list (exact oracle input)")
     learn.add_argument("--data", help="CSV dataset (statistical oracle input)")
     learn.add_argument("--algo", choices=ALGOS, default="marvel")
-    learn.add_argument("--oracle", choices=ORACLES)
     learn.add_argument("--alpha", type=float, help="test level (fisher_z only)")
     learn.add_argument("--out", help="write the learned PDAG here")
     learn.set_defaults(run=_cmd_learn)
@@ -108,17 +106,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_learn(args: argparse.Namespace) -> int:
     if (args.graph is None) == (args.data is None):
         raise ValueError("give exactly one of --graph or --data")
-    oracle_kind = args.oracle or ("dsep" if args.graph else "fisher_z")
-    if oracle_kind == "dsep":
-        if args.graph is None:
-            raise ValueError("the dsep oracle needs --graph")
+    if args.graph is not None:
         if args.alpha is not None:
             raise ValueError("--alpha applies to the fisher_z oracle only")
         truth = load_dag(args.graph)
         oracle = dsep_oracle(truth)
     else:
-        if args.data is None:
-            raise ValueError("the fisher_z oracle needs --data")
         truth = None
         dataset = load_dataset(args.data)
         oracle = fisher_z_oracle(dataset, GaussianCiConfig(alpha=args.alpha))

@@ -117,6 +117,10 @@ class Dag:
             for j in sorted(self.children[i]):
                 yield (i, j)
 
+    def skeleton_pairs(self) -> frozenset[tuple[int, int]]:
+        """The edges as undirected (min, max) pairs."""
+        return frozenset(_pair(i, j) for i, j in self.edges())
+
     @property
     def n_edges(self) -> int:
         return sum(len(s) for s in self.children)
@@ -446,7 +450,7 @@ def markov_boundary_graphical(g: Dag, x: int) -> frozenset[int]:
 
 def moralized_graph(g: Dag) -> Pdag:
     """Undirected graph joining every vertex to its whole Markov boundary."""
-    und = {_pair(i, j) for i, j in g.edges()}
+    und = set(g.skeleton_pairs())
     for w in range(g.p):
         for a, b in combinations(sorted(g.parents[w]), 2):
             und.add((a, b))
@@ -455,7 +459,7 @@ def moralized_graph(g: Dag) -> Pdag:
 
 def skeleton(g: Dag) -> Pdag:
     """The DAG with every edge made undirected."""
-    return Pdag(g.p, undirected=(_pair(i, j) for i, j in g.edges()))
+    return Pdag(g.p, undirected=g.skeleton_pairs())
 
 
 def v_structures(g: AnyGraph) -> frozenset[tuple[int, int, int]]:
@@ -651,7 +655,7 @@ def cpdag_bruteforce(g: Dag) -> Pdag:
     """
     if g.p > 10:
         raise ValueError("cpdag_bruteforce is capacity-guarded at p <= 10")
-    skel = {_pair(i, j) for i, j in g.edges()}
+    skel = g.skeleton_pairs()
     target = v_structures(g)
     directed: set[tuple[int, int]] = set()
     undirected: set[tuple[int, int]] = set()
@@ -704,17 +708,10 @@ def markov_equivalent(g1: AnyGraph, g2: AnyGraph) -> bool:
     """True iff the two graphs share skeleton and collider triples."""
     if g1.p != g2.p:
         raise ValueError("graphs must have the same vertex count")
-    skel1 = (
-        {_pair(i, j) for i, j in g1.edges()}
-        if isinstance(g1, Dag)
-        else g1.skeleton_pairs()
+    return (
+        g1.skeleton_pairs() == g2.skeleton_pairs()
+        and v_structures(g1) == v_structures(g2)
     )
-    skel2 = (
-        {_pair(i, j) for i, j in g2.edges()}
-        if isinstance(g2, Dag)
-        else g2.skeleton_pairs()
-    )
-    return skel1 == skel2 and v_structures(g1) == v_structures(g2)
 
 
 def enumerate_subsets(

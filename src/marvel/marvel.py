@@ -32,7 +32,6 @@ from .graph import (
     v_structures,
 )
 from .mb import MbMap, update_after_removal
-from .metrics import RunMetrics
 
 
 @dataclass
@@ -49,29 +48,37 @@ class NeighborInfo:
 
 
 @dataclass
-class VStructSet:
-    """Collider triples (x, y, t): x -> y <- t with x, t nonadjacent."""
-
-    triples: frozenset[tuple[int, int, int]]
-
-
-@dataclass
 class MarvelCaches:
     """Cross-round memory.
 
     neighbor_info and vpa hold one entry per variable, filtered to survivors
-    on re-entry. cond1_nosep records (x, {z, w}) pairs proven inseparable by
-    any set containing x; cond2_nosep records ({z, t}, {x, y}) combinations
-    proven inseparable by any set containing both x and y. Entries are only
-    invalidated by vertex removal, never by anything else.
+    on re-entry; a vpa entry is the frozenset of collider triples (x, y, t),
+    x -> y <- t with x, t nonadjacent. cond1_nosep records (x, {z, w})
+    pairs proven inseparable by any set containing x; cond2_nosep records
+    ({z, t}, {x, y}) combinations proven inseparable by any set containing
+    both x and y. Entries are only invalidated by vertex removal, never by
+    anything else.
     """
 
     neighbor_info: dict[int, NeighborInfo] = field(default_factory=dict)
-    vpa: dict[int, VStructSet] = field(default_factory=dict)
+    vpa: dict[int, frozenset[tuple[int, int, int]]] = field(default_factory=dict)
     cond1_nosep: set[tuple[int, frozenset[int]]] = field(default_factory=set)
     cond2_nosep: set[tuple[frozenset[int], frozenset[int]]] = field(
         default_factory=set
     )
+
+
+@dataclass
+class RunMetrics:
+    """CI-test accounting for one learner run, plus its wall time and the
+    number of warnings it recorded. Skeleton accuracy against a truth graph
+    is scored separately by ``bench.skeleton_metrics``."""
+
+    n_tests: int = 0
+    asc: float = 0.0
+    max_cond: int = 0
+    wall_ms: float = 0.0
+    warnings: int = 0
 
 
 @dataclass
@@ -108,13 +115,12 @@ def find_neighbors(
     coparents = set()
     sepsets: dict[int, frozenset[int]] = {}
     for y in sorted(mb_x):
-        for s in enumerate_subsets(mb_x - {y}, proper=True):
-            if oracle.query(x, y, s):
-                coparents.add(y)
-                sepsets[y] = s
-                break
-        else:
+        s = oracle.first_independent(x, y, enumerate_subsets(mb_x - {y}, proper=True))
+        if s is None:
             neighbors.add(y)
+        else:
+            coparents.add(y)
+            sepsets[y] = s
     info = NeighborInfo(frozenset(neighbors), frozenset(coparents), sepsets)
     caches.neighbor_info[x] = info
     return info
@@ -126,7 +132,7 @@ def find_vpa(
     mb_x: Iterable[int],
     oracle: CiOracle,
     caches: MarvelCaches,
-) -> VStructSet:
+) -> frozenset[tuple[int, int, int]]:
     """Colliders x -> y <- t between x and each of its co-parents t.
 
     A neighbor y is a common child of x and t iff y is outside the recorded
@@ -137,12 +143,11 @@ def find_vpa(
     mb_x = frozenset(mb_x)
     cached = caches.vpa.get(x)
     if cached is not None:
-        kept = frozenset(
+        return frozenset(
             (a, y, t)
-            for a, y, t in cached.triples
+            for a, y, t in cached
             if y in info.neighbors and t in info.coparents
         )
-        return VStructSet(kept)
     pool_base = mb_x | {x}
     triples = set()
     for t in sorted(info.coparents):
@@ -150,12 +155,11 @@ def find_vpa(
         for y in sorted(info.neighbors):
             if y in s_xt:
                 continue
-            for s in enumerate_subsets(pool_base - {y, t}):
-                if oracle.query(y, t, s):
-                    break
-            else:
+            if oracle.first_independent(
+                y, t, enumerate_subsets(pool_base - {y, t})
+            ) is None:
                 triples.add((x, y, t))
-    out = VStructSet(frozenset(triples))
+    out = frozenset(triples)
     caches.vpa[x] = out
     return out
 
@@ -177,12 +181,8 @@ def check_condition1(
         key = (x, frozenset((z, w)))
         if key in caches.cond1_nosep:
             continue
-        separated = False
-        for s in enumerate_subsets(mb_x - {z, w}):
-            if oracle.query(z, w, s | {x}):
-                separated = True
-                break
-        if separated:
+        candidates = (s | {x} for s in enumerate_subsets(mb_x - {z, w}))
+        if oracle.first_independent(z, w, candidates) is not None:
             return False
         caches.cond1_nosep.add(key)
     return True
@@ -191,7 +191,7 @@ def check_condition1(
 def check_condition2(
     x: int,
     info: NeighborInfo,
-    vpa: VStructSet,
+    vpa: frozenset[tuple[int, int, int]],
     mb_x: Iterable[int],
     oracle: CiOracle,
     caches: MarvelCaches,
@@ -204,17 +204,13 @@ def check_condition2(
     combinations are recorded in cond2_nosep and never retested.
     """
     mb_x = frozenset(mb_x)
-    for _, y, t in sorted(vpa.triples):
+    for _, y, t in sorted(vpa):
         for z in sorted(info.neighbors - {y}):
             key = (frozenset((z, t)), frozenset((x, y)))
             if key in caches.cond2_nosep:
                 continue
-            separated = False
-            for s in enumerate_subsets(mb_x - {z, y, t}):
-                if oracle.query(z, t, s | {x, y}):
-                    separated = True
-                    break
-            if separated:
+            candidates = (s | {x, y} for s in enumerate_subsets(mb_x - {z, y, t}))
+            if oracle.first_independent(z, t, candidates) is not None:
                 return False
             caches.cond2_nosep.add(key)
     return True
@@ -222,7 +218,7 @@ def check_condition2(
 
 def is_removable_ci(
     x: int, mb_x: Iterable[int], oracle: CiOracle, caches: MarvelCaches
-) -> tuple[bool, NeighborInfo, VStructSet]:
+) -> tuple[bool, NeighborInfo, frozenset[tuple[int, int, int]]]:
     """Full removability battery for x against its current boundary.
 
     Composes neighbor discovery, the neighbor-pair condition, collider
@@ -233,7 +229,7 @@ def is_removable_ci(
     mb_x = frozenset(mb_x)
     info = find_neighbors(x, mb_x, oracle, caches)
     if not check_condition1(x, info, mb_x, oracle, caches):
-        return False, info, VStructSet(frozenset())
+        return False, info, frozenset()
     vpa = find_vpa(x, info, mb_x, oracle, caches)
     if not check_condition2(x, info, vpa, mb_x, oracle, caches):
         return False, info, vpa
@@ -393,7 +389,7 @@ def _eliminate(
             infos[x] = info
             for y in sorted(info.neighbors):
                 _add_undirected(directed, undirected, x, y)
-            for _, y, t in sorted(vpa.triples):
+            for _, y, t in sorted(vpa):
                 _orient(directed, undirected, x, y, warnings)
                 _orient(directed, undirected, t, y, warnings)
             if verdict:

@@ -424,11 +424,23 @@ class TestCli:
             ["frobnicate"],
             ["learn", "--graph", "a", "--bogus"],
             [],
+            ["learn", "--graph", "a", "--oracle", "dsep"],
         ],
     )
     def test_argument_errors_exit_1(self, argv, capsys):
         assert cli.main(argv) == 1
         capsys.readouterr()
+
+    def test_oracle_flag_is_unknown(self, tmp_path, capsys):
+        # the oracle follows from --graph or --data, so there is no flag
+        truth = tmp_path / "truth.edges"
+        assert cli.main([
+            "generate", "--generator", "erdos_renyi", "--p", "4",
+            "--m", "3", "--out", str(truth),
+        ]) == 0
+        capsys.readouterr()
+        assert cli.main(["learn", "--graph", str(truth), "--oracle", "dsep"]) == 1
+        assert "unrecognized arguments: --oracle dsep" in capsys.readouterr().err
 
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0

@@ -34,6 +34,7 @@ from marvel.ci import (
 from marvel.graph import Dag, Pdag, d_separated
 from marvel.marvel import marvel_learn
 from marvel.mb import total_conditioning
+from marvel.synth import random_scm, sample
 
 
 def population_corr(p, edges_with_coeffs, noise_var):
@@ -210,6 +211,83 @@ class TestQueryValidation:
         with pytest.raises(TypeError):
             o.query(0, 1, [2 + 0j, 3, 4, 5])
         assert o.stats() == before
+
+
+
+CHAIN4 = Dag(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def chain4_dsep():
+    return dsep_oracle(CHAIN4)
+
+
+def chain4_fisher_z():
+    return fisher_z_oracle(sample(random_scm(CHAIN4, seed=1), n=2000, seed=2))
+
+
+CHAIN4_ORACLES = [chain4_dsep, chain4_fisher_z]
+
+
+class TestFirstIndependent:
+    # On the chain 0 -> 1 -> 2 -> 3, 0 and 3 are dependent marginally and
+    # independent given 1 or 2; 0 and 2 are dependent given () and {3}.
+    # The Fisher-Z sample agrees with d-separation on every query used here.
+
+    @pytest.mark.parametrize("make", CHAIN4_ORACLES, ids=ORACLE_IDS)
+    def test_stops_at_first_independent(self, make):
+        o = make()
+        assert [o.query(0, 3, s) for s in [(), (2,), (1,), (1, 2)]] == [
+            False, True, True, True,
+        ]
+        before = o.stats()
+        found = o.first_independent(0, 3, [(), (2,), (1,), (1, 2)])
+        assert found == frozenset({2}) and isinstance(found, frozenset)
+        after = o.stats()
+        assert after.n_tests - before.n_tests == 2
+        assert after.sum_cond_size - before.sum_cond_size == 1
+
+    @pytest.mark.parametrize("make", CHAIN4_ORACLES, ids=ORACLE_IDS)
+    def test_none_independent_counts_every_candidate(self, make):
+        o = make()
+        assert o.first_independent(0, 2, [(), (3,), [3]]) is None
+        st = o.stats()
+        assert (st.n_tests, st.sum_cond_size, st.max_cond_size) == (3, 2, 1)
+
+    @pytest.mark.parametrize("make", CHAIN4_ORACLES, ids=ORACLE_IDS)
+    def test_no_candidates_counts_nothing(self, make):
+        o = make()
+        assert o.first_independent(0, 3, []) is None
+        assert o.first_independent(0, 3, iter(())) is None
+        assert o.stats() == CiStats()
+
+    @pytest.mark.parametrize("make", CHAIN4_ORACLES, ids=ORACLE_IDS)
+    def test_bad_vertex_counts_only_the_candidates_before_it(self, make):
+        o = make()
+        with pytest.raises(ValueError, match="out of range"):
+            o.first_independent(0, 2, [(), (3,), (9,), (1,)])
+        st = o.stats()
+        assert (st.n_tests, st.sum_cond_size) == (2, 1)
+
+    @pytest.mark.parametrize("make", CHAIN4_ORACLES, ids=ORACLE_IDS)
+    def test_each_candidate_queried_once(self, make, monkeypatch):
+        seen = []
+        query = ci.CiOracle.query
+
+        def spy(self, x, y, s=()):
+            seen.append((x, y, frozenset(s)))
+            return query(self, x, y, s)
+
+        monkeypatch.setattr(ci.CiOracle, "query", spy)
+        o = make()
+        assert o.first_independent(0, 2, [(), (3,)]) is None
+        assert o.first_independent(0, 3, [(), (1,), (2,)]) == {1}
+        assert seen == [
+            (0, 2, frozenset()),
+            (0, 2, frozenset({3})),
+            (0, 3, frozenset()),
+            (0, 3, frozenset({1})),
+        ]
+        assert o.stats().n_tests == len(seen)
 
 
 class TestValidatedOnce:

@@ -95,20 +95,20 @@ class TestFindVpa:
         oracle, mb, caches = battery_inputs(COLLIDER, 0)
         info = find_neighbors(0, mb, oracle, caches)
         vpa = find_vpa(0, info, mb, oracle, caches)
-        assert vpa.triples == {(0, 2, 1)}
+        assert vpa == {(0, 2, 1)}
 
     def test_chain_has_no_coparents(self):
         oracle, mb, caches = battery_inputs(CHAIN, 0)
         info = find_neighbors(0, mb, oracle, caches)
         vpa = find_vpa(0, info, mb, oracle, caches)
-        assert vpa.triples == frozenset()
+        assert vpa == frozenset()
 
     def test_two_shared_children(self):
         oracle, mb, caches = battery_inputs(TWO_CHILD, 0)
         info = find_neighbors(0, mb, oracle, caches)
         assert info.coparents == {3}
         vpa = find_vpa(0, info, mb, oracle, caches)
-        assert vpa.triples == {(0, 1, 3), (0, 2, 3)}
+        assert vpa == {(0, 1, 3), (0, 2, 3)}
 
     def test_non_child_neighbor_excluded(self):
         # 2 has parents {0, 1} only, so (0, 2, 3) must not appear
@@ -116,7 +116,7 @@ class TestFindVpa:
         oracle, mb, caches = battery_inputs(g, 0)
         info = find_neighbors(0, mb, oracle, caches)
         vpa = find_vpa(0, info, mb, oracle, caches)
-        assert vpa.triples == {(0, 1, 3)}
+        assert vpa == {(0, 1, 3)}
 
     def test_triples_reference_current_split(self):
         rng = random.Random(4)
@@ -128,7 +128,7 @@ class TestFindVpa:
                 caches = MarvelCaches()
                 info = find_neighbors(x, mb, oracle, caches)
                 vpa = find_vpa(x, info, mb, oracle, caches)
-                for a, y, t in vpa.triples:
+                for a, y, t in vpa:
                     assert a == x
                     assert y in info.neighbors
                     assert t in info.coparents
@@ -196,7 +196,7 @@ class TestIsRemovableCi:
         oracle, mb, caches = battery_inputs(g, 0)
         verdict, _, vpa = is_removable_ci(0, mb, oracle, caches)
         assert not verdict
-        assert vpa.triples == frozenset()
+        assert vpa == frozenset()
 
     def test_matches_graphical_verdict(self):
         rng = random.Random(5)
