@@ -97,10 +97,7 @@ def _pc_sweep(
             for y in sorted(adj[x]):
                 if y not in adj[x]:
                     continue
-                others = sorted(adj[x] - {y})
-                if len(others) < level:
-                    continue
-                s = oracle.first_independent(x, y, combinations(others, level))
+                s = oracle.search(x, y, adj[x] - {y}, sizes=(level,))
                 if s is not None:
                     adj[x].discard(y)
                     adj[y].discard(x)
@@ -130,9 +127,9 @@ def solve(oracle: CiOracle, algo: str) -> tuple[int, LearnResult]:
     Returns the boundary-phase test count, which leaves out any query the
     oracle answered before, and the learner's result.
     """
-    before = oracle.stats().n_tests
+    before = oracle.stats()
     mb0 = total_conditioning(oracle)
-    mb_tests = oracle.stats().n_tests - before
+    mb_tests = (oracle.stats() - before).n_tests
     return mb_tests, LEARNERS[algo](oracle, mb0)
 
 

@@ -2,15 +2,16 @@
 
 Two oracle families share one interface: exact d-separation queries against a
 known DAG, and Fisher-Z partial-correlation tests on Gaussian data. Every
-call to ``query`` that returns an answer increments the counters exactly
-once, duplicates included; a call that raises counts nothing. Deduplication
-is always the caller's job. ``query`` returns True iff the pair
-is judged independent given the conditioning set.
+call to ``query`` that returns an answer is counted exactly once, duplicates
+included; a call that raises counts nothing. Deduplication is always the
+caller's job. ``query`` returns True iff the pair is judged independent
+given the conditioning set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 from math import atanh, sqrt
 from typing import Iterable
 
@@ -19,24 +20,45 @@ import numpy as np
 from .graph import Dag, check_query, d_separated
 
 
-@dataclass
+@dataclass(frozen=True)
 class CiStats:
-    """Running totals over a stream of CI queries."""
+    """Counts of CI queries by conditioning-set size.
 
-    n_tests: int = 0
-    sum_cond_size: int = 0
-    max_cond_size: int = 0
+    ``by_size[k]`` is the number of queries asked with |S| = k; sizes never
+    asked are left out, so an empty window equals ``CiStats()``. The totals
+    are derived from it. ``later - earlier`` of two ``CiOracle.stats()``
+    snapshots gives the stats of the queries asked in between, including
+    their largest |S|.
+    """
+
+    by_size: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def n_tests(self) -> int:
+        return sum(self.by_size.values())
+
+    @property
+    def sum_cond_size(self) -> int:
+        return sum(k * c for k, c in self.by_size.items())
+
+    @property
+    def max_cond_size(self) -> int:
+        return max(self.by_size, default=0)
 
     @property
     def asc(self) -> float:
         """Average conditioning set size; 0.0 before any query."""
-        if self.n_tests == 0:
-            return 0.0
-        return self.sum_cond_size / self.n_tests
+        n = self.n_tests
+        return self.sum_cond_size / n if n else 0.0
+
+    def __sub__(self, earlier: CiStats) -> CiStats:
+        before = earlier.by_size
+        diff = {k: c - before.get(k, 0) for k, c in self.by_size.items()}
+        return CiStats({k: c for k, c in diff.items() if c})
 
 
 class CiOracle:
-    """Base oracle: accounting around ``_decide``.
+    """Base oracle: ``query``, ``search`` and ``stats`` around ``_decide``.
 
     Subclasses set ``self.p`` and implement ``_decide(x, y, s)``, which gets
     s as a frozenset and owns argument validation: it must reject a bad
@@ -45,21 +67,16 @@ class CiOracle:
     nothing. Each query is validated once, by the kernel that decides it:
     ``d_separated`` for ``DsepOracle`` and ``partial_correlation_from_corr``
     for ``FisherZOracle``, which calls ``check_query`` itself only for the
-    degenerate queries that never reach its kernel. Alongside the cumulative
-    ``stats()`` the oracle keeps a phase window that callers may reset with
-    ``begin_phase()`` to split accounting into stages (for example boundary
-    discovery vs structure recovery).
+    degenerate queries that never reach its kernel.
 
-    ``first_independent(x, y, candidates)`` is the one subset search the
-    learners use: it asks ``query`` once per candidate up to the first
-    independence, so a search counts exactly the prefix it tried.
+    ``search(x, y, pool, base, sizes)`` is the one subset search the
+    learners use, and the only place that knows the enumeration order. It
+    asks ``query`` once per candidate up to the first independence, so a
+    search counts exactly the prefix it tried.
 
-    The counters are plain ints: the lifetime query count and
-    conditioning-set sum, the same two as they stood when the phase began,
-    the largest set in the phase, and the largest set before it. ``query``
-    updates three of them; ``stats()`` and ``phase_stats()`` build their
-    ``CiStats`` from them on demand, and ``begin_phase()`` folds the phase's
-    largest set into the earlier one.
+    ``stats()`` returns a snapshot of the lifetime counts; it does not move
+    when later queries are asked. A caller that wants the queries of one
+    stage takes a snapshot before it and subtracts it from one after.
 
     ``n_degenerate`` and ``n_singular`` count, over the oracle's whole life,
     the queries it could not decide and answered "dependent": too few
@@ -72,63 +89,55 @@ class CiOracle:
     n_singular = 0
 
     def __init__(self) -> None:
-        self._n_tests = 0
-        self._sum_cond = 0
-        self._phase_n_tests = 0
-        self._phase_sum_cond = 0
-        self._phase_max_cond = 0
-        self._max_cond_before = 0
+        self._by_size: dict[int, int] = {}
 
     def query(self, x: int, y: int, s: Iterable[int] = ()) -> bool:
         s = frozenset(s)
         answer = self._decide(x, y, s)
         # Counted only once answered, so a query that raises leaves no trace.
         k = len(s)
-        self._n_tests += 1
-        self._sum_cond += k
-        if k > self._phase_max_cond:
-            self._phase_max_cond = k
+        self._by_size[k] = self._by_size.get(k, 0) + 1
         return answer
 
-    def first_independent(
-        self, x: int, y: int, candidates: Iterable[Iterable[int]]
+    def search(
+        self,
+        x: int,
+        y: int,
+        pool: Iterable[int],
+        base: Iterable[int] = (),
+        sizes: Iterable[int] | None = None,
     ) -> frozenset[int] | None:
-        """The first candidate set given which x and y test independent.
+        """The first set given which x and y test independent.
 
-        Asks ``query`` once per candidate, in order, and returns the first
-        set answered independent as a frozenset, or None when none is, so
-        exactly the candidates tried are counted. A candidate that fails
-        validation raises; only the candidates before it stay counted.
+        The candidates are ``base`` joined with each subset of
+        ``sorted(set(pool))`` whose size is in ``sizes`` (default: every
+        size, 0 through |pool|), in the order of ``sizes`` and
+        lexicographically within a size. Asks ``query`` once per candidate,
+        in order, and returns the first set answered independent, or None
+        when none is, so exactly the candidates tried are counted. A
+        candidate that fails validation raises; only the candidates before
+        it stay counted.
         """
+        members = sorted(set(pool))
+        base = frozenset(base)
+        # Either way one allocation per candidate; frozenset(combo) also
+        # skips copying an empty base.
+        join = base.union if base else frozenset
+        if sizes is None:
+            sizes = range(len(members) + 1)
         query = self.query
-        for s in candidates:
-            s = frozenset(s)
-            if query(x, y, s):
-                return s
+        for r in sizes:
+            for combo in combinations(members, r):
+                s = join(combo)
+                if query(x, y, s):
+                    return s
         return None
 
     def _decide(self, x: int, y: int, s: frozenset[int]) -> bool:
         raise NotImplementedError
 
     def stats(self) -> CiStats:
-        return CiStats(
-            self._n_tests,
-            self._sum_cond,
-            max(self._max_cond_before, self._phase_max_cond),
-        )
-
-    def begin_phase(self) -> None:
-        self._max_cond_before = max(self._max_cond_before, self._phase_max_cond)
-        self._phase_max_cond = 0
-        self._phase_n_tests = self._n_tests
-        self._phase_sum_cond = self._sum_cond
-
-    def phase_stats(self) -> CiStats:
-        return CiStats(
-            self._n_tests - self._phase_n_tests,
-            self._sum_cond - self._phase_sum_cond,
-            self._phase_max_cond,
-        )
+        return CiStats(dict(self._by_size))
 
 
 class DsepOracle(CiOracle):

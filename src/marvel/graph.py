@@ -714,21 +714,6 @@ def markov_equivalent(g1: AnyGraph, g2: AnyGraph) -> bool:
     )
 
 
-def enumerate_subsets(
-    pool: Iterable[int], proper: bool = False
-) -> Iterator[frozenset[int]]:
-    """Subsets of pool in increasing cardinality, lexicographic within a size.
-
-    With proper=True the full set is omitted. The empty set always comes
-    first. Deterministic for any input order.
-    """
-    members = sorted(set(pool))
-    top = len(members) - 1 if proper else len(members)
-    for r in range(top + 1):
-        for combo in combinations(members, r):
-            yield frozenset(combo)
-
-
 def parse_dag(text: str) -> Dag:
     """Read the edge-list format: first value p, then one 'i j' row per edge.
 

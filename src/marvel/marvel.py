@@ -27,7 +27,6 @@ from .graph import (
     Pdag,
     _pair,
     apply_meek_rules,
-    enumerate_subsets,
     pdag_from_skeleton_and_vstructs,
     v_structures,
 )
@@ -115,7 +114,7 @@ def find_neighbors(
     coparents = set()
     sepsets: dict[int, frozenset[int]] = {}
     for y in sorted(mb_x):
-        s = oracle.first_independent(x, y, enumerate_subsets(mb_x - {y}, proper=True))
+        s = oracle.search(x, y, mb_x - {y}, sizes=range(len(mb_x) - 1))
         if s is None:
             neighbors.add(y)
         else:
@@ -155,9 +154,7 @@ def find_vpa(
         for y in sorted(info.neighbors):
             if y in s_xt:
                 continue
-            if oracle.first_independent(
-                y, t, enumerate_subsets(pool_base - {y, t})
-            ) is None:
+            if oracle.search(y, t, pool_base - {y, t}) is None:
                 triples.add((x, y, t))
     out = frozenset(triples)
     caches.vpa[x] = out
@@ -181,8 +178,7 @@ def check_condition1(
         key = (x, frozenset((z, w)))
         if key in caches.cond1_nosep:
             continue
-        candidates = (s | {x} for s in enumerate_subsets(mb_x - {z, w}))
-        if oracle.first_independent(z, w, candidates) is not None:
+        if oracle.search(z, w, mb_x - {z, w}, base=(x,)) is not None:
             return False
         caches.cond1_nosep.add(key)
     return True
@@ -209,8 +205,7 @@ def check_condition2(
             key = (frozenset((z, t)), frozenset((x, y)))
             if key in caches.cond2_nosep:
                 continue
-            candidates = (s | {x, y} for s in enumerate_subsets(mb_x - {z, y, t}))
-            if oracle.first_independent(z, t, candidates) is not None:
+            if oracle.search(z, t, mb_x - {z, y, t}, base=(x, y)) is not None:
                 return False
             caches.cond2_nosep.add(key)
     return True
@@ -312,26 +307,34 @@ def run_learner(
 ) -> LearnResult:
     """The frame both learners run in.
 
-    Checks the starting boundary map against the oracle, opens the oracle's
-    phase window, and calls ``recover(oracle, mb0, warnings)``, which returns
+    Checks the starting boundary map against the oracle before any query:
+    every member must be another vertex in range, and membership must be
+    symmetric. Then calls ``recover(oracle, mb0, warnings)``, which returns
     the learner's PDAG before orientation closure plus the vertex order to
     report. The PDAG is then closed under the Meek rules, dropping
     contradictory orientations to undirected. Queries the oracle could not
     decide over its whole life, boundary discovery included, are reported
-    as warnings. Test counts cover the phase window only.
+    as warnings. Test counts cover the queries asked from here on, the
+    difference of two ``stats()`` snapshots.
     """
     if mb0.p != oracle.p:
         raise ValueError("boundary map and oracle disagree on p")
     if mb0.removed:
         raise ValueError("starting boundary map must have no removed vertices")
+    for x, row in enumerate(mb0.mb):
+        for y in sorted(row):
+            if not 0 <= y < mb0.p or y == x:
+                raise ValueError(f"boundary pair ({x}, {y}): {y} is not another vertex")
+            if x not in mb0.mb[y]:
+                raise ValueError(f"boundary pair ({x}, {y}) is not symmetric")
     warnings: list[str] = []
     t0 = perf_counter()
-    oracle.begin_phase()
+    before = oracle.stats()
 
     base, order = recover(oracle, mb0, warnings)
     essential = apply_meek_rules(base, on_conflict="drop", warnings=warnings)
 
-    post = oracle.phase_stats()
+    post = oracle.stats() - before
     if oracle.n_degenerate:
         warnings.append(
             f"{oracle.n_degenerate} queries had too few samples and were "

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from marvel.bench import generate_dag, pc_baseline
 from marvel.ci import DsepOracle
-from marvel.marvel import marvel_learn
+from marvel.marvel import LearnResult, marvel_learn
 from marvel.mb import total_conditioning
 
 GOLDEN_PATH = Path(__file__).with_name("golden_exact.json")
@@ -87,8 +87,8 @@ def instance_key(graph, algo) -> str:
     return f"{generator} p={p} {shape} seed={seed} {algo}"
 
 
-def run_instance(graph, algo) -> tuple[dict, RecordingOracle]:
-    """One solve's record, and the oracle that answered it."""
+def run_instance(graph, algo) -> tuple[dict, RecordingOracle, LearnResult]:
+    """One solve's record, the oracle that answered it and the result."""
     generator, p, seed, m, delta_in = graph
     oracle = RecordingOracle(generate_dag(generator, p, seed, m, delta_in))
     mb0 = total_conditioning(oracle)
@@ -105,14 +105,14 @@ def run_instance(graph, algo) -> tuple[dict, RecordingOracle]:
         "essential": _digest((ess.p, sorted(ess.directed), sorted(ess.undirected))),
         "queries": _digest(sorted(oracle.log)),
     }
-    return record, oracle
+    return record, oracle, res
 
 
 def main() -> int:
     lines = []
     for graph, algo in GRID:
         key = instance_key(graph, algo)
-        record, _ = run_instance(graph, algo)
+        record, _, _ = run_instance(graph, algo)
         print(key, record["mb_tests"], record["post_tests"], flush=True)
         lines.append(f"  {json.dumps(key)}: {json.dumps(record)}")
     GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")

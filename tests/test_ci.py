@@ -12,10 +12,13 @@ import random
 import subprocess
 import sys
 import weakref
+from itertools import combinations
 from math import atanh, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import random_dag, random_query
 from marvel import ci, graph
@@ -76,46 +79,59 @@ class TestCiStats:
         assert st.max_cond_size == 2
         assert st.asc == pytest.approx(5 / 3)
 
+    def test_by_size_leaves_out_unasked_sizes(self):
+        o = dsep_oracle(Dag(5, [(0, 1)]))
+        o.query(0, 1, ())
+        o.query(0, 2, (1, 3))
+        o.query(0, 3, (1, 2))
+        assert o.stats() == CiStats({0: 1, 2: 2})
+
     def test_phase_window(self):
         g = Dag(3, [(0, 1)])
         o = dsep_oracle(g)
         o.query(0, 1, ())
-        o.begin_phase()
+        start = o.stats()
         o.query(0, 2, (1,))
         assert o.stats().n_tests == 2
-        ph = o.phase_stats()
+        ph = o.stats() - start
         assert ph.n_tests == 1 and ph.max_cond_size == 1
 
     def test_lifetime_max_spans_phases(self):
         o = dsep_oracle(Dag(5, [(0, 1)]))
         o.query(0, 1, (2, 3, 4))
-        o.begin_phase()
+        start = o.stats()
         o.query(0, 2, (1,))
         assert (o.stats().n_tests, o.stats().max_cond_size) == (2, 3)
-        assert (o.phase_stats().n_tests, o.phase_stats().max_cond_size) == (1, 1)
+        ph = o.stats() - start
+        assert (ph.n_tests, ph.max_cond_size) == (1, 1)
 
     def test_consecutive_phases_report_own_queries(self):
         o = dsep_oracle(Dag(5, [(0, 1)]))
         o.query(0, 1, (2,))
-        o.begin_phase()
+        start = o.stats()
         o.query(0, 2, (1, 3))
         o.query(0, 3, ())
-        first = o.phase_stats()
-        o.begin_phase()
-        assert o.phase_stats() == CiStats()
+        mid = o.stats()
+        first = mid - start
+        assert o.stats() - mid == CiStats()
         o.query(1, 2, (0, 3, 4))
-        second = o.phase_stats()
+        second = o.stats() - mid
         assert (first.n_tests, first.sum_cond_size, first.max_cond_size) == (2, 2, 2)
         assert (second.n_tests, second.sum_cond_size, second.max_cond_size) == (1, 3, 3)
         st = o.stats()
         assert (st.n_tests, st.sum_cond_size, st.max_cond_size) == (4, 6, 3)
 
     def test_stats_returns_copy(self):
-        g = Dag(2, [(0, 1)])
+        g = Dag(3, [(0, 1)])
         o = dsep_oracle(g)
         snap = o.stats()
         o.query(0, 1, ())
         assert snap.n_tests == 0
+        later = o.stats()
+        o.query(0, 2, (1,))
+        o.query(0, 1, ())
+        assert later == CiStats({0: 1})
+        assert (later.n_tests, later.sum_cond_size, later.max_cond_size) == (1, 0, 0)
 
 
 class TestDsepOracle:
@@ -195,12 +211,12 @@ class TestQueryValidation:
         # then raises, and the query must leave every counter as it was.
         o = make()
         o.query(0, 1, ())
-        o.begin_phase()
+        start = o.stats()
         o.query(0, 2, [1])
-        before = (o.stats(), o.phase_stats())
+        before = (o.stats(), o.stats() - start)
         with pytest.raises(TypeError):
             o.query(*query)
-        assert (o.stats(), o.phase_stats()) == before
+        assert (o.stats(), o.stats() - start) == before
 
     def test_complex_vertex_in_a_large_set_is_not_counted(self):
         # |s| = 4 of p = 7 is more than half the vertices but short of total
@@ -229,19 +245,20 @@ CHAIN4_ORACLES = [chain4_dsep, chain4_fisher_z]
 
 
 class TestFirstIndependent:
-    # On the chain 0 -> 1 -> 2 -> 3, 0 and 3 are dependent marginally and
-    # independent given 1 or 2; 0 and 2 are dependent given () and {3}.
-    # The Fisher-Z sample agrees with d-separation on every query used here.
+    # search returns the first independent candidate. On the chain
+    # 0 -> 1 -> 2 -> 3, 0 and 3 are dependent marginally and independent
+    # given 1 or 2; 0 and 2 are dependent given () and {3}. The Fisher-Z
+    # sample agrees with d-separation on every query used here.
 
     @pytest.mark.parametrize("make", CHAIN4_ORACLES, ids=ORACLE_IDS)
     def test_stops_at_first_independent(self, make):
         o = make()
-        assert [o.query(0, 3, s) for s in [(), (2,), (1,), (1, 2)]] == [
+        assert [o.query(0, 3, s) for s in [(), (1,), (2,), (1, 2)]] == [
             False, True, True, True,
         ]
         before = o.stats()
-        found = o.first_independent(0, 3, [(), (2,), (1,), (1, 2)])
-        assert found == frozenset({2}) and isinstance(found, frozenset)
+        found = o.search(0, 3, [2, 1])
+        assert found == frozenset({1}) and isinstance(found, frozenset)
         after = o.stats()
         assert after.n_tests - before.n_tests == 2
         assert after.sum_cond_size - before.sum_cond_size == 1
@@ -249,24 +266,32 @@ class TestFirstIndependent:
     @pytest.mark.parametrize("make", CHAIN4_ORACLES, ids=ORACLE_IDS)
     def test_none_independent_counts_every_candidate(self, make):
         o = make()
-        assert o.first_independent(0, 2, [(), (3,), [3]]) is None
+        assert o.search(0, 2, [3]) is None
         st = o.stats()
-        assert (st.n_tests, st.sum_cond_size, st.max_cond_size) == (3, 2, 1)
+        assert (st.n_tests, st.sum_cond_size, st.max_cond_size) == (2, 1, 1)
+        assert o.search(0, 2, [3], sizes=(1, 0, 1)) is None
+        st = o.stats()
+        assert (st.n_tests, st.sum_cond_size, st.max_cond_size) == (5, 3, 1)
 
     @pytest.mark.parametrize("make", CHAIN4_ORACLES, ids=ORACLE_IDS)
     def test_no_candidates_counts_nothing(self, make):
         o = make()
-        assert o.first_independent(0, 3, []) is None
-        assert o.first_independent(0, 3, iter(())) is None
+        assert o.search(0, 3, [1, 2], sizes=()) is None
+        assert o.search(0, 3, [1, 2], sizes=iter(())) is None
+        assert o.search(0, 3, [], sizes=(1,)) is None
+        assert o.search(0, 3, [1, 2], sizes=(3, 4)) is None
         assert o.stats() == CiStats()
 
     @pytest.mark.parametrize("make", CHAIN4_ORACLES, ids=ORACLE_IDS)
     def test_bad_vertex_counts_only_the_candidates_before_it(self, make):
         o = make()
         with pytest.raises(ValueError, match="out of range"):
-            o.first_independent(0, 2, [(), (3,), (9,), (1,)])
+            o.search(0, 2, [9, 3])
         st = o.stats()
         assert (st.n_tests, st.sum_cond_size) == (2, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            o.search(0, 2, [3], base=(9,))
+        assert o.stats() == st
 
     @pytest.mark.parametrize("make", CHAIN4_ORACLES, ids=ORACLE_IDS)
     def test_each_candidate_queried_once(self, make, monkeypatch):
@@ -279,15 +304,120 @@ class TestFirstIndependent:
 
         monkeypatch.setattr(ci.CiOracle, "query", spy)
         o = make()
-        assert o.first_independent(0, 2, [(), (3,)]) is None
-        assert o.first_independent(0, 3, [(), (1,), (2,)]) == {1}
+        assert o.search(0, 2, [3]) is None
+        assert o.search(0, 3, [1, 2]) == {1}
+        assert o.search(1, 3, [2], base=(0,)) == {0, 2}
         assert seen == [
             (0, 2, frozenset()),
             (0, 2, frozenset({3})),
             (0, 3, frozenset()),
             (0, 3, frozenset({1})),
+            (1, 3, frozenset({0})),
+            (1, 3, frozenset({0, 2})),
         ]
         assert o.stats().n_tests == len(seen)
+
+
+class NeverIndependent(ci.CiOracle):
+    """Oracle that answers every query dependent, so a search asks its
+    whole family."""
+
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+
+    def _decide(self, x, y, s):
+        graph.check_query(self.p, x, y, s)
+        return False
+
+
+def family(pool, **kwargs):
+    """The candidates ``search`` asks, in order, for the pair (0, 9)."""
+    seen = []
+    o = NeverIndependent(10)
+    query = o.query
+    o.query = lambda x, y, s=(): seen.append(tuple(sorted(s))) or query(x, y, s)
+    assert o.search(0, 9, pool, **kwargs) is None
+    assert o.stats().n_tests == len(seen)
+    return seen
+
+
+class TestSubsetEnumeration:
+    def test_order(self):
+        assert family([3, 1, 2]) == [
+            (),
+            (1,),
+            (2,),
+            (3,),
+            (1, 2),
+            (1, 3),
+            (2, 3),
+            (1, 2, 3),
+        ]
+        assert family([3, 1, 2, 3], base=(5,)) == [
+            (5,),
+            (1, 5),
+            (2, 5),
+            (3, 5),
+            (1, 2, 5),
+            (1, 3, 5),
+            (2, 3, 5),
+            (1, 2, 3, 5),
+        ]
+
+    def test_proper_excludes_full(self):
+        pool = [1, 2]
+        got = family(pool, sizes=range(len(pool)))
+        assert (1, 2) not in got
+        assert len(got) == 3
+
+    def test_empty_pool(self):
+        assert family([]) == [()]
+        assert family([], sizes=range(0)) == []
+
+
+def reference_search(o, x, y, pool, base, sizes):
+    """One query per candidate, spelled out with combinations."""
+    for r in sizes:
+        for combo in combinations(sorted(set(pool)), r):
+            s = frozenset(base) | frozenset(combo)
+            if o.query(x, y, s):
+                return s
+    return None
+
+
+@hs.composite
+def search_families(draw):
+    p = draw(hs.integers(3, 8))
+    seed = draw(hs.integers(0, 2**32 - 1))
+    g = random_dag(random.Random(seed), p)
+    x, y = draw(hs.lists(hs.integers(0, p - 1), min_size=2, max_size=2, unique=True))
+    rest = [v for v in range(p) if v not in (x, y)]
+    base = draw(hs.lists(hs.sampled_from(rest), max_size=2, unique=True))
+    pool = draw(hs.lists(hs.sampled_from(rest), max_size=len(rest)))
+    sizes = draw(
+        hs.none() | hs.lists(hs.integers(0, len(rest) + 1), max_size=len(rest) + 2)
+    )
+    return g, x, y, pool, base, sizes
+
+
+class TestSearchMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(search_families())
+    def test_same_answer_and_window(self, case):
+        g, x, y, pool, base, sizes = case
+        default = range(len(set(pool)) + 1)
+        want_o, got_o = dsep_oracle(g), dsep_oracle(g)
+        want = reference_search(
+            want_o, x, y, pool, base, default if sizes is None else sizes
+        )
+        # A query before the search, which the window must leave out.
+        got_o.query(x, y, set(range(g.p)) - {x, y})
+        before = got_o.stats()
+        got = got_o.search(x, y, pool, base=base, sizes=sizes)
+        assert got == want
+        assert got is None or isinstance(got, frozenset)
+        assert got_o.stats() - before == want_o.stats()
 
 
 class TestValidatedOnce:
@@ -338,13 +468,13 @@ class TestValidatedOnce:
         d = Dataset(np.random.default_rng(7).normal(size=(5, 4)))
         o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
         o.query(0, 1, ())
-        o.begin_phase()
+        start = o.stats()
         # n = 5 <= |s| + 3 once |s| >= 2: the branch that skips the kernel
         assert not o.query(0, 1, (2, 3))
-        before = (o.stats(), o.phase_stats(), o.n_degenerate)
+        before = (o.stats(), o.stats() - start, o.n_degenerate)
         with pytest.raises(ValueError, match="out of range"):
             o.query(0, 1, (2, bad))
-        assert (o.stats(), o.phase_stats(), o.n_degenerate) == before
+        assert (o.stats(), o.stats() - start, o.n_degenerate) == before
 
 
 def run_python(code):

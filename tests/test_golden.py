@@ -25,7 +25,7 @@ def test_file_covers_the_grid():
     "graph, algo", GRID, ids=[instance_key(*inst) for inst in GRID]
 )
 def test_matches_golden(graph, algo):
-    record, oracle = run_instance(graph, algo)
+    record, oracle, res = run_instance(graph, algo)
     assert record == GOLDEN[instance_key(graph, algo)]
     # The oracle's own counters agree with the queries it was seen to count.
     st = oracle.stats()
@@ -34,3 +34,8 @@ def test_matches_golden(graph, algo):
         record["cond_sum"],
         record["cond_max"],
     )
+    # The learner's window holds exactly the queries after boundary discovery.
+    post = [k for _, _, k, _ in oracle.log[record["mb_tests"]:]]
+    assert res.metrics.n_tests == len(post)
+    assert res.metrics.max_cond == max(post, default=0)
+    assert res.metrics.asc == (sum(post) / len(post) if post else 0.0)

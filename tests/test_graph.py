@@ -25,7 +25,6 @@ from marvel.graph import (
     d_separated,
     d_separated_bruteforce,
     descendants,
-    enumerate_subsets,
     format_dag,
     format_pdag,
     is_removable_graphical,
@@ -309,7 +308,8 @@ class TestShortPathCertificates:
         g = random_dag(random.Random(m), 7, m)
         for x, y in combinations(range(7), 2):
             rest = [v for v in range(7) if v not in (x, y)]
-            for s in enumerate_subsets(rest):
+            subsets = (frozenset(c) for r in range(6) for c in combinations(rest, r))
+            for s in subsets:
                 expected = d_separated_bruteforce(g, x, y, s)
                 assert d_separated(g, x, y, s) == expected
                 assert d_separated(g, y, x, s) == expected
@@ -672,30 +672,6 @@ class TestMarkovEquivalent:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             markov_equivalent(Dag(2), Dag(3))
-
-
-class TestSubsetEnumeration:
-    def test_order(self):
-        got = [tuple(sorted(s)) for s in enumerate_subsets([3, 1, 2])]
-        assert got == [
-            (),
-            (1,),
-            (2,),
-            (3,),
-            (1, 2),
-            (1, 3),
-            (2, 3),
-            (1, 2, 3),
-        ]
-
-    def test_proper_excludes_full(self):
-        got = list(enumerate_subsets([1, 2], proper=True))
-        assert frozenset({1, 2}) not in got
-        assert len(got) == 3
-
-    def test_empty_pool(self):
-        assert list(enumerate_subsets([])) == [frozenset()]
-        assert list(enumerate_subsets([], proper=True)) == []
 
 
 class TestEdgeListIO:

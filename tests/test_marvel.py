@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dag
-from marvel.bench import simulate_dataset, solve
-from marvel.ci import dsep_oracle, fisher_z_oracle
+from marvel.bench import pc_baseline, simulate_dataset, solve
+from marvel.ci import CiStats, dsep_oracle, fisher_z_oracle
 from marvel.graph import (
     Dag,
     cpdag_bruteforce,
@@ -287,6 +287,25 @@ class TestMarvelLearn:
         update_after_removal(m, 2, sorted(m.mb[2]), oracle)
         with pytest.raises(ValueError):
             marvel_learn(oracle, m)
+
+    @pytest.mark.parametrize("learner", [marvel_learn, pc_baseline])
+    @pytest.mark.parametrize(
+        "edit, pair",
+        [
+            (lambda mb: mb[1].add(7), r"\(1, 7\)"),
+            (lambda mb: mb[2].add(2), r"\(2, 2\)"),
+            (lambda mb: mb[0].add(3), r"\(0, 3\) is not symmetric"),
+        ],
+        ids=["out_of_range", "self", "asymmetric"],
+    )
+    def test_bad_boundary_map_rejected_before_counting(self, learner, edit, pair):
+        g = Dag(4, [(0, 1), (1, 2), (2, 3)])
+        m = total_conditioning(dsep_oracle(g))
+        edit(m.mb)
+        oracle = dsep_oracle(g)
+        with pytest.raises(ValueError, match=pair):
+            learner(oracle, m)
+        assert oracle.stats() == CiStats()
 
     def test_input_boundary_map_not_mutated(self):
         g = TWO_CHILD
