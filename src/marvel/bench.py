@@ -20,8 +20,6 @@ from .graph import Dag, Pdag, _pair
 from .marvel import LearnResult, _orient, marvel_learn, run_learner
 from .mb import MbMap, total_conditioning
 from .synth import (
-    DEFAULT_COEFF_RANGE,
-    DEFAULT_SD_RANGE,
     cluster_adversarial_dag,
     erdos_renyi_dag,
     fixed_indegree_dag,
@@ -153,10 +151,6 @@ class ExperimentConfig:
     delta_in: int | None = None
     n_samples: int | None = None
     alpha: float | None = None
-    coeff_lo: float = DEFAULT_COEFF_RANGE[0]
-    coeff_hi: float = DEFAULT_COEFF_RANGE[1]
-    sd_lo: float = DEFAULT_SD_RANGE[0]
-    sd_hi: float = DEFAULT_SD_RANGE[1]
     record_wall: bool = False
 
     def __post_init__(self) -> None:
@@ -179,16 +173,11 @@ class ExperimentConfig:
                 raise ValueError("dsep runs take no alpha")
 
 
-def simulate_dataset(
-    g: Dag,
-    n_samples: int,
-    seed: int,
-    coeff_lo: float = DEFAULT_COEFF_RANGE[0],
-    coeff_hi: float = DEFAULT_COEFF_RANGE[1],
-    sd_lo: float = DEFAULT_SD_RANGE[0],
-    sd_hi: float = DEFAULT_SD_RANGE[1],
-) -> Dataset:
+def simulate_dataset(g: Dag, n_samples: int, seed: int) -> Dataset:
     """Draw a linear-Gaussian model for g and sample rows from it.
+
+    Edge weights come from ±synth.COEFF_RANGE and noise sds from
+    synth.SD_RANGE, the ranges every simulated dataset uses.
 
     The model seed and the noise seed are both derived from the one seed
     given, so a (graph, seed) pair pins down the dataset exactly.
@@ -196,10 +185,7 @@ def simulate_dataset(
     scm_seed, data_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(2)
     )
-    spec = random_scm(
-        g, coeff_lo, coeff_hi, sd_lo, sd_hi, seed=scm_seed
-    )
-    return sample(spec, n_samples, seed=data_seed)
+    return sample(random_scm(g, seed=scm_seed), n_samples, seed=data_seed)
 
 
 def _check_generator(generator: str, m: int | None, delta_in: int | None) -> None:
@@ -234,9 +220,7 @@ def generate_dag(
 def _build_oracle(cfg: ExperimentConfig, g: Dag, seed: int) -> CiOracle:
     if cfg.oracle == "dsep":
         return dsep_oracle(g)
-    data = simulate_dataset(
-        g, cfg.n_samples, seed, cfg.coeff_lo, cfg.coeff_hi, cfg.sd_lo, cfg.sd_hi
-    )
+    data = simulate_dataset(g, cfg.n_samples, seed)
     return fisher_z_oracle(data, GaussianCiConfig(alpha=cfg.alpha))
 
 
@@ -281,7 +265,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
 
 
 _CONFIG_INT_KEYS = ("p", "m", "delta_in", "n_samples")
-_CONFIG_FLOAT_KEYS = ("alpha", "coeff_lo", "coeff_hi", "sd_lo", "sd_hi")
+_CONFIG_FLOAT_KEYS = ("alpha",)
 _CONFIG_STR_KEYS = ("generator", "algo", "oracle")
 
 

@@ -89,17 +89,18 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    # every check runs before the first file is written
+    if (args.data is None) != (args.n_samples is None):
+        raise ValueError("--data and --n-samples go together")
     g = generate_dag(args.generator, args.p, args.seed, args.m, args.delta_in)
+    dataset = None
+    if args.data is not None:
+        dataset = simulate_dataset(g, args.n_samples, args.seed)
     save_dag(g, args.out)
     print(f"wrote {args.out} (p={g.p}, m={g.n_edges})")
-    if args.data is not None:
-        if args.n_samples is None:
-            raise ValueError("--data needs --n-samples")
-        dataset = simulate_dataset(g, args.n_samples, args.seed)
+    if dataset is not None:
         save_dataset(dataset, args.data)
         print(f"wrote {args.data} ({dataset.n} rows)")
-    elif args.n_samples is not None:
-        raise ValueError("--n-samples needs --data")
     return 0
 
 

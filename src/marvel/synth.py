@@ -22,8 +22,8 @@ from .graph import Dag
 
 RngSeed = int
 
-DEFAULT_COEFF_RANGE = (0.5, 1.0)
-DEFAULT_SD_RANGE = (1.0, math.sqrt(3.0))
+COEFF_RANGE = (0.5, 1.0)  # edge weight magnitudes; the sign is a fair coin
+SD_RANGE = (1.0, math.sqrt(3.0))  # noise standard deviations
 
 
 @dataclass
@@ -47,8 +47,8 @@ class ScmSpec:
 def erdos_renyi_dag(p: int, m: int, seed: RngSeed) -> Dag:
     """Uniform m-edge skeleton oriented by a uniform random vertex order."""
     pairs = list(combinations(range(p), 2))
-    if m > len(pairs):
-        raise ValueError(f"m={m} exceeds the {len(pairs)} available pairs")
+    if not 0 <= m <= len(pairs):
+        raise ValueError(f"need 0 <= m <= {len(pairs)} (the available pairs)")
     rng = np.random.default_rng(seed)
     chosen = [pairs[k] for k in rng.choice(len(pairs), size=m, replace=False)]
     pos = {int(v): k for k, v in enumerate(rng.permutation(p))}
@@ -84,8 +84,8 @@ def cluster_adversarial_dag(p: int, d: int) -> Dag:
     conditioning inside the cluster, which is what makes the family a
     worst case for test counting.
     """
-    if d + 1 > p:
-        raise ValueError("cluster size d + 1 exceeds p")
+    if not 0 <= d < p:
+        raise ValueError("need 0 <= d < p")
     size = d + 1
     edges = []
     for start in range(0, (p // size) * size, size):
@@ -94,27 +94,16 @@ def cluster_adversarial_dag(p: int, d: int) -> Dag:
     return Dag(p, edges)
 
 
-def random_scm(
-    dag: Dag,
-    coeff_lo: float = DEFAULT_COEFF_RANGE[0],
-    coeff_hi: float = DEFAULT_COEFF_RANGE[1],
-    sd_lo: float = DEFAULT_SD_RANGE[0],
-    sd_hi: float = DEFAULT_SD_RANGE[1],
-    seed: RngSeed = 0,
-) -> ScmSpec:
-    """Draw edge weights from ±[coeff_lo, coeff_hi] (fair sign) and noise
-    sds from [sd_lo, sd_hi]."""
-    if not 0 <= coeff_lo <= coeff_hi:
-        raise ValueError("need 0 <= coeff_lo <= coeff_hi")
-    if not 0 < sd_lo <= sd_hi:
-        raise ValueError("need 0 < sd_lo <= sd_hi")
+def random_scm(dag: Dag, seed: RngSeed = 0) -> ScmSpec:
+    """Draw edge weights from ±COEFF_RANGE (fair sign) and noise sds from
+    SD_RANGE. Other weights need an ScmSpec built directly."""
     rng = np.random.default_rng(seed)
     coeffs = {}
     for e in dag.edges():
-        magnitude = rng.uniform(coeff_lo, coeff_hi)
+        magnitude = rng.uniform(*COEFF_RANGE)
         sign = 1.0 if rng.random() < 0.5 else -1.0
         coeffs[e] = sign * magnitude
-    noise_sd = tuple(float(rng.uniform(sd_lo, sd_hi)) for _ in range(dag.p))
+    noise_sd = tuple(float(rng.uniform(*SD_RANGE)) for _ in range(dag.p))
     return ScmSpec(dag, coeffs, noise_sd)
 
 

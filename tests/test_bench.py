@@ -236,6 +236,9 @@ class TestParseConfig:
             "oracle = dsep\nseeds = 3..1",
             "generator = erdos_renyi\np = 4\nm = 1\nalgo = pc\n"
             "oracle = dsep\nseeds = 0\nrecord_wall = yes",
+            # the simulation ranges are fixed, so they are unknown keys
+            "generator = erdos_renyi\np = 4\nm = 1\nalgo = pc\n"
+            "oracle = fisher_z\nn_samples = 50\nseeds = 0\ncoeff_lo = 0.7",
         ],
     )
     def test_bad_config_text_rejected(self, text):
@@ -425,11 +428,50 @@ class TestCli:
             ["learn", "--graph", "a", "--bogus"],
             [],
             ["learn", "--graph", "a", "--oracle", "dsep"],
+            ["generate", "--generator", "cluster", "--p", "3",
+             "--delta-in", "-1", "--out", "x.edges"],
+            ["generate", "--generator", "erdos_renyi", "--p", "3",
+             "--m", "-1", "--out", "x.edges"],
         ],
     )
-    def test_argument_errors_exit_1(self, argv, capsys):
+    def test_argument_errors_exit_1(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # relative --out paths land here
         assert cli.main(argv) == 1
         capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--data", "d.csv"],
+            ["--n-samples", "30"],
+            ["--data", "d.csv", "--n-samples", "1"],
+        ],
+    )
+    def test_failed_generate_writes_nothing(
+        self, flags, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([
+            "generate", "--generator", "erdos_renyi", "--p", "4", "--m", "3",
+            "--out", "g.edges", *flags,
+        ]) == 1
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "regime",
+        ["generator = cluster\ndelta_in = -1", "generator = erdos_renyi\nm = -1"],
+    )
+    def test_bench_generator_out_of_range_exits_1(
+        self, regime, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            f"{regime}\np = 3\nalgo = marvel\noracle = dsep\nseeds = 0\n"
+        )
+        assert cli.main(["bench", str(cfg)]) == 1
+        assert "seed 0: need 0 <=" in capsys.readouterr().err
 
     def test_oracle_flag_is_unknown(self, tmp_path, capsys):
         # the oracle follows from --graph or --data, so there is no flag
