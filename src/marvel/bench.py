@@ -17,7 +17,7 @@ import numpy as np
 
 from .ci import CiOracle, Dataset, GaussianCiConfig, dsep_oracle, fisher_z_oracle
 from .graph import Dag, Pdag, _pair
-from .marvel import LearnResult, _orient, marvel_learn, run_learner
+from .marvel import LearnResult, _as_pdag, _orient, marvel_learn, run_learner
 from .mb import MbMap, total_conditioning
 from .synth import (
     cluster_adversarial_dag,
@@ -102,17 +102,17 @@ def _pc_sweep(
                     sepsets[_pair(x, y)] = s
         level += 1
 
-    directed: set[tuple[int, int]] = set()
-    undirected = {(x, y) for x in range(p) for y in adj[x] if x < y}
+    heads: dict[tuple[int, int], int] = {}
     for c in range(p):
         for a, b in combinations(sorted(adj[c]), 2):
             key = (a, b)
             if b in adj[a] or key not in sepsets or c in sepsets[key]:
                 continue
             # keep-first when noisy answers demand both directions of an edge
-            _orient(directed, undirected, a, c, warnings)
-            _orient(directed, undirected, b, c, warnings)
-    return Pdag(p, directed=directed, undirected=undirected), tuple(range(p))
+            _orient(heads, a, c, warnings)
+            _orient(heads, b, c, warnings)
+    pairs = [(x, y) for x in range(p) for y in adj[x] if x < y]
+    return _as_pdag(p, pairs, heads), tuple(range(p))
 
 
 LEARNERS = {"marvel": marvel_learn, "pc": pc_baseline}
@@ -291,8 +291,8 @@ def parse_config(text: str) -> ExperimentConfig:
     """Build an ExperimentConfig from flat "key = value" lines.
 
     Keys are the ExperimentConfig field names; seeds take a comma list with
-    optional "a..b" ranges; record_wall takes true or false. '#' starts a
-    comment and blank lines are skipped.
+    optional "a..b" ranges; record_wall takes true or false. Each key may
+    appear once. '#' starts a comment and blank lines are skipped.
     """
     kv: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -302,7 +302,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
+        key = key.strip()
+        if key in kv:
+            raise ValueError(f"config line {lineno}: repeated key {key!r}")
+        kv[key] = value.strip()
 
     fields: dict = {}
     for key, value in kv.items():

@@ -18,6 +18,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -97,9 +98,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.data is not None:
         dataset = simulate_dataset(g, args.n_samples, args.seed)
     save_dag(g, args.out)
+    if dataset is not None:
+        try:
+            save_dataset(dataset, args.data)
+        except OSError:
+            os.remove(args.out)
+            raise
     print(f"wrote {args.out} (p={g.p}, m={g.n_edges})")
     if dataset is not None:
-        save_dataset(dataset, args.data)
         print(f"wrote {args.data} ({dataset.n} rows)")
     return 0
 

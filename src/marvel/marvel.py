@@ -1,11 +1,14 @@
 """Structure learning by recursive elimination of removable variables.
 
 Each round sorts the remaining variables by Markov boundary size, walks that
-order looking for the first variable whose removability battery passes, wires
-up the edges and collider orientations the battery revealed, removes the
-variable, and patches the boundary map. Once every variable is eliminated,
-the colliders of the working graph that the run actually vouches for are kept
-and closed under the Meek rules to produce the essential graph.
+order looking for the first variable whose removability battery passes,
+records the adjacent pairs and collider orientations each battery revealed,
+removes the variable, and patches the boundary map. Both learners keep one
+edge record: the set of adjacent pairs, and the head of the first collider
+orientation each pair got. Once every variable is eliminated, each pair with
+no head points at its endpoint eliminated first, the colliders of that graph
+the run actually vouches for are kept, and the Meek rules close them into
+the essential graph.
 
 All batteries run against the current Markov boundary only, which keeps the
 conditioning sets small; cross-round caches avoid repeating queries whose
@@ -250,53 +253,23 @@ def ci_budget_bound(p: int, delta_in: int) -> int:
     return ceil(total)
 
 
-def _add_undirected(
-    directed: set[tuple[int, int]], undirected: set[tuple[int, int]], x: int, y: int
-) -> None:
-    # an edge that is already present, in either form, is left alone
-    if (x, y) in directed or (y, x) in directed:
-        return
-    undirected.add(_pair(x, y))
-
-
 def _orient(
-    directed: set[tuple[int, int]],
-    undirected: set[tuple[int, int]],
-    i: int,
-    j: int,
-    warnings: list[str],
+    heads: dict[tuple[int, int], int], i: int, j: int, warnings: list[str]
 ) -> None:
-    # orient i -> j, never flipping an existing opposite orientation
-    if (i, j) in directed:
-        return
-    if (j, i) in directed:
+    # orient i -> j unless the pair already has a head; the first one stays
+    if heads.setdefault(_pair(i, j), j) != j:
         warnings.append(f"kept existing orientation {j}->{i} over {i}->{j}")
-        return
-    undirected.discard(_pair(i, j))
-    directed.add((i, j))
 
 
-def _vouched_vstructures(
-    ghat: Pdag, forced: set[tuple[int, int]], pos: dict[int, int]
-) -> frozenset[tuple[int, int, int]]:
-    """Colliders of the working graph that the elimination run vouches for.
-
-    Edges oriented while identifying a collider always point at a true common
-    child. An edge oriented only because its head was being eliminated is
-    weaker evidence: it marks a collider at the eliminated vertex y only if
-    the other parent was still present when y went, because y's removability
-    battery vouched for every pair of its remaining neighbors. Had that other
-    parent been eliminated earlier with the collider real, its own battery
-    would have found the collider and directed this edge then, so the edge
-    would not have still been undirected at y's elimination. A collider whose
-    elimination-oriented edge pairs with an endpoint already gone is
-    therefore an artifact of edge timing, not structure, and is dropped.
-    """
-    return frozenset(
-        (a, c, b)
-        for a, c, b in v_structures(ghat)
-        if ((a, c) not in forced or pos[b] > pos[c])
-        and ((b, c) not in forced or pos[a] > pos[c])
+def _as_pdag(
+    p: int, pairs: Iterable[tuple[int, int]], heads: dict[tuple[int, int], int]
+) -> Pdag:
+    """Every pair and every headed pair as an edge; a headed one points at
+    its head, the rest stay undirected."""
+    return Pdag(
+        p,
+        directed=[(b if h == a else a, h) for (a, b), h in heads.items()],
+        undirected=[pr for pr in pairs if pr not in heads],
     )
 
 
@@ -376,46 +349,54 @@ def _eliminate(
     p = oracle.p
     m = mb0.copy()
     caches = MarvelCaches()
-    directed: set[tuple[int, int]] = set()
-    undirected: set[tuple[int, int]] = set()
-    forced: set[tuple[int, int]] = set()
+    pairs: set[tuple[int, int]] = set()
+    heads: dict[tuple[int, int], int] = {}
     order: list[int] = []
 
     while len(order) < p:
         scan = sorted(m.alive(), key=lambda v: (len(m.mb[v]), v))
-        infos: dict[int, NeighborInfo] = {}
-        chosen: int | None = None
+        fallback: NeighborInfo | None = None
         for x in scan:
             battery_caches = caches if use_caches else MarvelCaches()
             mb_x = frozenset(m.mb[x])
             verdict, info, vpa = is_removable_ci(x, mb_x, oracle, battery_caches)
-            infos[x] = info
-            for y in sorted(info.neighbors):
-                _add_undirected(directed, undirected, x, y)
+            if fallback is None:
+                fallback = info
+            pairs.update(_pair(x, y) for y in info.neighbors)
             for _, y, t in sorted(vpa):
-                _orient(directed, undirected, x, y, warnings)
-                _orient(directed, undirected, t, y, warnings)
+                _orient(heads, x, y, warnings)
+                _orient(heads, t, y, warnings)
             if verdict:
-                chosen = x
                 break
-        if chosen is None:
-            chosen = scan[0]
+        else:
+            x, info = scan[0], fallback
             warnings.append(
                 f"no removable vertex in round {len(order)}; "
-                f"forcing removal of {chosen}"
+                f"forcing removal of {x}"
             )
-        x = chosen
-        for pr in sorted(e for e in undirected if x in e):
-            w = pr[0] if pr[1] == x else pr[1]
-            undirected.discard(pr)
-            directed.add((w, x))
-            forced.add((w, x))
         order.append(x)
-        update_after_removal(m, x, sorted(infos[x].neighbors), oracle)
+        update_after_removal(m, x, sorted(info.neighbors), oracle)
 
-    ghat = Pdag(p, directed=directed, undirected=undirected)
+    # Boundaries never hold a removed vertex, so every pair was recorded
+    # while both its ends were alive. A pair no collider test oriented
+    # points at the end eliminated first: that removal made it an edge into
+    # the removed vertex.
     pos = {v: i for i, v in enumerate(order)}
-    base = pdag_from_skeleton_and_vstructs(
-        p, ghat.skeleton_pairs(), _vouched_vstructures(ghat, forced, pos)
+    forced = {pr: min(pr, key=pos.__getitem__) for pr in pairs if pr not in heads}
+    ghat = _as_pdag(p, pairs, heads | forced)
+    # Edges oriented by a collider test always point at a true common child.
+    # A forced edge is weaker evidence: it marks a collider at its head c
+    # only if the other parent was still present when c went, because c's
+    # battery vouched for every pair of its remaining neighbors. Had that
+    # other parent been eliminated earlier with the collider real, its own
+    # battery would have found the collider and oriented this edge then. A
+    # forced tail always outlives its head, so a collider is kept when
+    # collider tests oriented both its edges or both its parents outlived c.
+    kept = frozenset(
+        (a, c, b)
+        for a, c, b in v_structures(ghat)
+        if (_pair(a, c) in heads and _pair(b, c) in heads)
+        or pos[c] < min(pos[a], pos[b])
     )
+    base = pdag_from_skeleton_and_vstructs(p, ghat.skeleton_pairs(), kept)
     return base, tuple(order)

@@ -239,6 +239,11 @@ class TestParseConfig:
             # the simulation ranges are fixed, so they are unknown keys
             "generator = erdos_renyi\np = 4\nm = 1\nalgo = pc\n"
             "oracle = fisher_z\nn_samples = 50\nseeds = 0\ncoeff_lo = 0.7",
+            # a repeated key is an error, not a silent override
+            "p = 5\ngenerator = erdos_renyi\np = 9\nm = 1\nalgo = pc\n"
+            "oracle = dsep\nseeds = 0",
+            "seeds = 0\ngenerator = erdos_renyi\np = 4\nm = 1\nalgo = pc\n"
+            "oracle = dsep\nseeds = 1",
         ],
     )
     def test_bad_config_text_rejected(self, text):
@@ -446,6 +451,9 @@ class TestCli:
             ["--data", "d.csv"],
             ["--n-samples", "30"],
             ["--data", "d.csv", "--n-samples", "1"],
+            # the edge list is written first; the failed dataset write
+            # (an OS error) removes it again
+            ["--data", "nodir/d.csv", "--n-samples", "10"],
         ],
     )
     def test_failed_generate_writes_nothing(
@@ -458,6 +466,15 @@ class TestCli:
         ]) == 1
         capsys.readouterr()
         assert list(tmp_path.iterdir()) == []
+
+    def test_bench_repeated_key_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "generator = erdos_renyi\np = 5\nm = 1\nalgo = marvel\n"
+            "oracle = dsep\nseeds = 0\np = 9\n"
+        )
+        assert cli.main(["bench", str(cfg)]) == 1
+        assert "config line 7: repeated key 'p'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "regime",

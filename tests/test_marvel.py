@@ -7,6 +7,7 @@ versions). A round-by-round graphical replay checks the scan and budget
 properties.
 """
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import random_dag
 from marvel.bench import pc_baseline, simulate_dataset, solve
-from marvel.ci import CiStats, dsep_oracle, fisher_z_oracle
+from marvel.ci import CiStats, GaussianCiConfig, dsep_oracle, fisher_z_oracle
 from marvel.graph import (
     Dag,
     cpdag_bruteforce,
@@ -34,7 +35,7 @@ from marvel.marvel import (
     marvel_learn,
 )
 from marvel.mb import total_conditioning
-from marvel.synth import fixed_indegree_dag
+from marvel.synth import erdos_renyi_dag, fixed_indegree_dag
 
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -420,30 +421,108 @@ class TestRunProperties:
             assert res.metrics.warnings == 0
 
 
+def _essential_digest(ess):
+    return hashlib.sha256(
+        repr((ess.p, sorted(ess.directed), sorted(ess.undirected))).encode()
+    ).hexdigest()[:16]
+
+
 # Two cheap cells of the finite-sample acceptance workload (p=50, in-degree
-# 4, n=2500), pinned so that a faster partial-correlation kernel cannot move
-# a Fisher-Z count or decision unnoticed: (seed, boundary-phase tests,
-# post-boundary tests, elimination order).
+# 4, n=2500), pinned so that a faster partial-correlation kernel or a
+# rewrite of the learner's edge bookkeeping cannot move a Fisher-Z count,
+# decision, orientation or warning unnoticed: (seed, boundary-phase tests,
+# post-boundary tests, elimination order, essential-graph digest, warnings).
+# Every value was computed with the learner that kept directed, undirected
+# and forced edge sets, before the shared pair/head record replaced them.
 FISHER_Z_CELLS = [
     (6, 1225, 5434, (
         0, 1, 33, 41, 21, 28, 37, 29, 48, 19, 40, 31, 23, 8, 35, 38, 43, 32,
         18, 24, 34, 45, 11, 42, 16, 12, 46, 3, 15, 47, 22, 2, 26, 5, 13, 36,
         10, 7, 20, 6, 27, 39, 4, 30, 14, 17, 9, 25, 44, 49,
-    )),
+    ), "507bd3b47fc90d25", [
+        "no removable vertex in round 25; forcing removal of 12",
+        "no removable vertex in round 26; forcing removal of 46",
+        "no removable vertex in round 29; forcing removal of 47",
+        "no removable vertex in round 31; forcing removal of 2",
+        "no removable vertex in round 32; forcing removal of 26",
+        "no removable vertex in round 33; forcing removal of 5",
+        "contradictory orientations forced for edge 12-30; left undirected",
+    ]),
     (9, 1225, 10406, (
         8, 1, 26, 30, 0, 6, 11, 3, 45, 28, 17, 38, 35, 15, 40, 25, 7, 21, 29,
         47, 48, 4, 18, 32, 9, 49, 24, 42, 22, 23, 14, 34, 37, 2, 46, 10, 43,
         19, 27, 41, 13, 16, 31, 44, 39, 5, 12, 20, 33, 36,
-    )),
+    ), "eb30e01e5620caa8", [
+        "no removable vertex in round 33; forcing removal of 2",
+        "no removable vertex in round 35; forcing removal of 10",
+        "contradictory orientations forced for edge 36-44; left undirected",
+    ]),
 ]
 
 
 @pytest.mark.parametrize(
-    "seed, mb_tests, post_tests, order", FISHER_Z_CELLS, ids=["seed6", "seed9"]
+    "seed, mb_tests, post_tests, order, essential, warnings",
+    FISHER_Z_CELLS,
+    ids=["seed6", "seed9"],
 )
-def test_fisher_z_counts_and_order_pinned(seed, mb_tests, post_tests, order):
+def test_fisher_z_counts_and_order_pinned(
+    seed, mb_tests, post_tests, order, essential, warnings
+):
     g = fixed_indegree_dag(50, 4, seed)
     oracle = fisher_z_oracle(simulate_dataset(g, 2500, seed))
     got_mb, res = solve(oracle, "marvel")
     assert (got_mb, res.metrics.n_tests) == (mb_tests, post_tests)
     assert res.elimination_order == order
+    assert _essential_digest(res.essential) == essential
+    assert res.warnings == warnings
+
+
+# Small noisy runs whose collider tests demand both orientations of an edge:
+# (p, m, seed, n, alpha) for erdos_renyi_dag and a Fisher-Z oracle, then the
+# warnings, elimination order and essential graph. The first head a pair
+# gets is kept and the contradicting demand becomes a warning. The second
+# recipe also forces a removal in round 0 before its conflict. Every value
+# was computed with the learner that kept directed, undirected and forced
+# edge sets, before the shared pair/head record replaced them.
+CONFLICT_CASES = [
+    (
+        (4, 0, 34, 20, 0.5),
+        [
+            "kept existing orientation 3->1 over 1->3",
+            "kept existing orientation 3->2 over 2->3",
+        ],
+        (0, 1, 2, 3),
+        [(0, 1), (0, 2), (3, 1), (3, 2)],
+        [],
+    ),
+    (
+        (6, 6, 139, 40, 0.2),
+        [
+            "no removable vertex in round 0; forcing removal of 0",
+            "kept existing orientation 2->3 over 3->2",
+        ],
+        (0, 3, 2, 4, 1, 5),
+        [(2, 3), (3, 0), (5, 0), (5, 3)],
+        [(1, 4), (1, 5), (2, 4)],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "recipe, warnings, order, directed, undirected",
+    CONFLICT_CASES,
+    ids=["empty-p4", "forced-p6"],
+)
+def test_conflicting_collider_orientations_keep_first(
+    recipe, warnings, order, directed, undirected
+):
+    p, m, seed, n, alpha = recipe
+    g = erdos_renyi_dag(p, m, seed)
+    oracle = fisher_z_oracle(
+        simulate_dataset(g, n, seed), GaussianCiConfig(alpha=alpha)
+    )
+    _, res = solve(oracle, "marvel")
+    assert res.warnings == warnings
+    assert res.elimination_order == order
+    assert sorted(res.essential.directed) == directed
+    assert sorted(res.essential.undirected) == undirected
