@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Dag, check_query, d_separated
+from .graph import AllBut, Dag, check_query, d_separated
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,19 @@ class CiStats:
 class CiOracle:
     """Base oracle: ``query``, ``search`` and ``stats`` around ``_decide``.
 
-    Subclasses set ``self.p`` and implement ``_decide(x, y, s)``, which gets
-    s as a frozenset and owns argument validation: it must reject a bad
-    query with ``check_query``'s errors before deciding anything. A query is
-    counted only after ``_decide`` returns, so a rejected one counts
-    nothing. Each query is validated once, by the kernel that decides it:
-    ``d_separated`` for ``DsepOracle`` and ``partial_correlation_from_corr``
-    for ``FisherZOracle``, which calls ``check_query`` itself only for the
-    degenerate queries that never reach its kernel.
+    Subclasses set ``self.p`` and implement ``_decide(x, y, s)``. It gets s
+    as a frozenset, or, during total conditioning, as ``AllBut(p, x, y)``:
+    ``query`` passes an ``AllBut`` of its own p, x and y through unconverted
+    and turns every other input into a frozenset. ``_decide`` owns argument
+    validation: it must reject a bad query with ``check_query``'s errors
+    before deciding anything. A query is counted only after ``_decide``
+    returns, so a rejected one counts nothing. Each query is validated
+    once, by the kernel that decides it: ``d_separated`` for ``DsepOracle``
+    and ``partial_correlation_from_corr`` for ``FisherZOracle``, which calls
+    ``check_query`` itself only for the degenerate queries that never reach
+    its kernel. Both kernels take an ``AllBut`` as it is: ``d_separated``
+    encodes it from x and y, and the Fisher-Z kernel reads it through
+    ``sorted(s)``.
 
     ``search(x, y, pool, base, sizes)`` is the one subset search the
     learners use, and the only place that knows the enumeration order. It
@@ -92,7 +97,8 @@ class CiOracle:
         self._by_size: dict[int, int] = {}
 
     def query(self, x: int, y: int, s: Iterable[int] = ()) -> bool:
-        s = frozenset(s)
+        if not (type(s) is AllBut and s.x == x and s.y == y and s.p == self.p):
+            s = frozenset(s)
         answer = self._decide(x, y, s)
         # Counted only once answered, so a query that raises leaves no trace.
         k = len(s)
@@ -133,7 +139,7 @@ class CiOracle:
                     return s
         return None
 
-    def _decide(self, x: int, y: int, s: frozenset[int]) -> bool:
+    def _decide(self, x: int, y: int, s: frozenset[int] | AllBut) -> bool:
         raise NotImplementedError
 
     def stats(self) -> CiStats:
@@ -151,7 +157,7 @@ class DsepOracle(CiOracle):
         self.dag = dag
         self.p = dag.p
 
-    def _decide(self, x: int, y: int, s: frozenset[int]) -> bool:
+    def _decide(self, x: int, y: int, s: frozenset[int] | AllBut) -> bool:
         return d_separated(self.dag, x, y, s)
 
 
@@ -314,7 +320,7 @@ class FisherZOracle(CiOracle):
         # wraps; calling it directly spares importing all of scipy.stats.
         self.z_threshold = float(ndtri(1.0 - alpha / 2.0))
 
-    def _decide(self, x: int, y: int, s: frozenset[int]) -> bool:
+    def _decide(self, x: int, y: int, s: frozenset[int] | AllBut) -> bool:
         n = self.n
         if n <= len(s) + 3:
             # This branch never reaches the kernel's own check.

@@ -6,14 +6,15 @@ production operations (linear-time d-separation, Meek closure) the module
 carries the brute-force oracles used to validate them: a path-enumeration
 d-separation checker and a permutation-enumeration essential-graph builder.
 
-Vertex sets are plain frozensets at the API boundary; whenever iteration
-order matters they are sorted first so that identical inputs give identical
-outputs.
+Vertex sets are plain frozensets at the API boundary, apart from the
+``AllBut`` sets of total conditioning; whenever iteration order matters they
+are sorted first so that identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Set
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Union
@@ -232,24 +233,69 @@ def _vertices(p: int) -> frozenset[int]:
     return frozenset(range(p))
 
 
-def check_query(p: int, x: int, y: int, s: Iterable[int]) -> frozenset[int]:
-    """Validate a CI query over vertices 0..p-1; returns s as a frozenset.
+class AllBut(Set):
+    """Every vertex of 0..p-1 except x and y, as a read-only set.
+
+    The conditioning set of total conditioning, held as its three fields
+    and never built: membership and length take O(1), iteration runs in
+    ascending order. Compares equal to any set with the same members.
+
+    x and y are meant to be two distinct vertices of 0..p-1, the only case
+    in which the length, p - 2, is right. Checking them here would cost as
+    much as the query they serve, so ``check_query`` does it: it checks x
+    and y of the one ``AllBut`` it passes on, its own query's, and converts
+    any other to a frozenset by iterating it, which holds for any fields.
+    """
+
+    __slots__ = ("p", "x", "y")
+
+    def __init__(self, p: int, x: int, y: int) -> None:
+        self.p = p
+        self.x = x
+        self.y = y
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[int]) -> frozenset[int]:
+        return frozenset(it)
+
+    def __contains__(self, v: object) -> bool:
+        return v != self.x and v != self.y and v in range(self.p)
+
+    def __iter__(self) -> Iterator[int]:
+        x, y = self.x, self.y
+        return (v for v in range(self.p) if v != x and v != y)
+
+    def __len__(self) -> int:
+        return self.p - 2
+
+
+def check_query(
+    p: int, x: int, y: int, s: Iterable[int]
+) -> frozenset[int] | AllBut:
+    """Validate a CI query over vertices 0..p-1; returns s as a set.
 
     Every query entry point (the oracles, d-separation, partial correlation)
     checks its arguments here, so all of them reject the same inputs with
     the same messages. A vertex is valid when it equals one of 0..p-1, so
     numpy integers pass and 2.5 or "2" do not; the kernels convert with
     ``int`` where they use a vertex as a number.
+
+    The ``AllBut(p, x, y)`` of this very query is returned as it is, after
+    only x and y are checked: its members are vertices other than x and y
+    by construction. Any other ``AllBut`` is converted and checked like
+    every other set.
     """
-    s = frozenset(s)
+    own = type(s) is AllBut and s.p == p and s.x == x and s.y == y
+    if not own:
+        s = frozenset(s)
     vertices = _vertices(p)
-    if not (x in vertices and y in vertices and s <= vertices):
+    if not (x in vertices and y in vertices and (own or s <= vertices)):
         for v in (x, y, *s):
             if v not in vertices:
                 raise ValueError(f"vertex {v!r} out of range for p={p}")
     if x == y:
         raise ValueError("query endpoints must differ")
-    if x in s or y in s:
+    if not own and (x in s or y in s):
         raise ValueError("conditioning set may not contain the endpoints")
     return s
 
@@ -260,7 +306,9 @@ def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
     Works on the bitmasks ``Dag`` precomputes: parent and child rows,
     ancestor closures (v included), strict-descendant closures and moral rows
     (parents, children and co-parents, v excluded). Python ints are
-    unbounded, so any vertex count works.
+    unbounded, so any vertex count works. The mask of s is built from its
+    own elements, with one exception: ``AllBut(g.p, x, y)``, which
+    ``check_query`` passes through, is encoded from x and y alone.
 
     Answers from a certificate when one holds. "d-connected" at once when an
     open path of at most two edges joins x and y: an edge; a vertex outside
@@ -288,8 +336,8 @@ def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
     s = check_query(g.p, x, y, s)
     x, y = int(x), int(y)
     bits = g._bits
-    if 2 * len(s) > g.p and len(s) == g.p - 2:
-        # Total conditioning: check_query has shown s is all but x, y.
+    if type(s) is AllBut:
+        # check_query passes on only the AllBut of this very query.
         smask = ((1 << g.p) - 1) ^ bits[x] ^ bits[y]
     else:
         smask = 0

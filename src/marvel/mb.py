@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .ci import CiOracle
+from .graph import AllBut
 
 
 class MbMap:
@@ -58,13 +59,14 @@ def total_conditioning(oracle: CiOracle) -> MbMap:
 
     For each of the C(p, 2) pairs of the oracle's p variables, x and y
     belong to each other's boundary iff they are dependent given all
-    remaining variables. Performs exactly C(p, 2) queries.
+    remaining variables. Performs exactly C(p, 2) queries. Each is asked
+    with ``AllBut(p, x, y)``, which stands for that set without building
+    it, so a query costs no set work of size p.
     """
     p = oracle.p
     m = MbMap(p)
-    everything = frozenset(range(p))
     for x, y in combinations(range(p), 2):
-        if not oracle.query(x, y, everything - {x, y}):
+        if not oracle.query(x, y, AllBut(p, x, y)):
             m.mb[x].add(y)
             m.mb[y].add(x)
     return m
@@ -82,12 +84,14 @@ def update_after_removal(
     {x, y, z}; independence deletes the pair from each other's boundary.
     At most C(|n_x|, 2) queries.
     """
-    if not 0 <= x < m.p:
+    if x not in range(m.p):
         raise ValueError(f"vertex {x} out of range for p={m.p}")
     if x in m.removed:
         raise ValueError(f"vertex {x} was already removed")
     n_x = sorted(set(n_x))
     for v in n_x:
+        if v not in range(m.p):
+            raise ValueError(f"neighbor {v} out of range for p={m.p}")
         if v in m.removed:
             raise ValueError(f"neighbor {v} was already removed")
         if v == x:

@@ -34,7 +34,7 @@ from marvel.ci import (
     partial_correlation_from_corr,
     save_dataset,
 )
-from marvel.graph import Dag, Pdag, d_separated
+from marvel.graph import AllBut, Dag, Pdag, d_separated, d_separated_bruteforce
 from marvel.marvel import marvel_learn
 from marvel.mb import total_conditioning
 from marvel.synth import random_scm, sample
@@ -218,14 +218,20 @@ class TestQueryValidation:
             o.query(*query)
         assert (o.stats(), o.stats() - start) == before
 
-    def test_complex_vertex_in_a_large_set_is_not_counted(self):
-        # |s| = 4 of p = 7 is more than half the vertices but short of total
-        # conditioning, so s is still encoded from its own elements.
-        o = dsep_oracle(Dag(7, [(0, 2), (2, 1)]))
+    @pytest.mark.parametrize(
+        "p, s",
+        [(7, [2 + 0j, 3, 4, 5]), (5, [2 + 0j, 3, 4])],
+        ids=["over_half", "all_but_xy"],
+    )
+    def test_complex_vertex_in_a_large_set_is_not_counted(self, p, s):
+        # More than half the vertices, up to every vertex but x and y: a
+        # plain set is always encoded from its own elements, whatever its
+        # size, so int(2+0j) raises.
+        o = dsep_oracle(Dag(p, [(0, 2), (2, 1)]))
         o.query(0, 1, [2, 3])
         before = o.stats()
         with pytest.raises(TypeError):
-            o.query(0, 1, [2 + 0j, 3, 4, 5])
+            o.query(0, 1, s)
         assert o.stats() == before
 
 
@@ -418,6 +424,96 @@ class TestSearchMatchesReference:
         assert got == want
         assert got is None or isinstance(got, frozenset)
         assert got_o.stats() - before == want_o.stats()
+
+
+def outcome(o, x, y, s):
+    """The answer of ``o.query(x, y, s)``, or the error it raised."""
+    try:
+        return o.query(x, y, s)
+    except (ValueError, TypeError) as e:
+        return type(e), str(e)
+
+
+def all_but_oracles(p, seed):
+    """A d-separation and a Fisher-Z oracle over one random DAG on p
+    vertices, fresh on each call."""
+    g = random_dag(random.Random(seed), p)
+    d = sample(random_scm(g, seed=seed), n=60, seed=seed)
+    return g, [dsep_oracle(g), fisher_z_oracle(d)]
+
+
+@hs.composite
+def all_but_queries(draw):
+    p = draw(hs.integers(2, 9))
+    seed = draw(hs.integers(0, 2**32 - 1))
+    x, y = draw(hs.lists(hs.integers(0, p - 1), min_size=2, max_size=2, unique=True))
+    return p, seed, x, y
+
+
+class TestAllButQueries:
+    # Total conditioning asks AllBut(p, x, y) in place of the frozenset of
+    # every vertex but x and y; nothing the oracle reports may tell them
+    # apart, and an AllBut that does not fit its query is an ordinary set.
+
+    @settings(max_examples=100, deadline=None)
+    @given(all_but_queries())
+    def test_same_answer_and_window_as_the_frozenset(self, case):
+        p, seed, x, y = case
+        g, got = all_but_oracles(p, seed)
+        _, want = all_but_oracles(p, seed)
+        s = frozenset(range(p)) - {x, y}
+        truth = d_separated_bruteforce(g, x, y, s)
+        for got_o, want_o in zip(got, want):
+            got_o.query(0, 1, ())
+            want_o.query(0, 1, ())
+            start = got_o.stats()
+            answer = got_o.query(x, y, AllBut(p, x, y))
+            assert answer == want_o.query(x, y, s)
+            assert got_o.stats() - start == CiStats({p - 2: 1})
+            assert got_o.stats() == want_o.stats()
+            assert (got_o.n_degenerate, got_o.n_singular) == (
+                want_o.n_degenerate,
+                want_o.n_singular,
+            )
+        assert got[0].query(x, y, AllBut(p, x, y)) == truth
+
+    @settings(max_examples=100, deadline=None)
+    @given(all_but_queries())
+    def test_partial_correlation_identical(self, case):
+        p, seed, x, y = case
+        corr = all_but_oracles(p, seed)[1][1].corr
+        s = frozenset(range(p)) - {x, y}
+        assert partial_correlation_from_corr(
+            corr, x, y, AllBut(p, x, y)
+        ) == partial_correlation_from_corr(corr, x, y, s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(all_but_queries(), hs.data())
+    def test_mismatched_fields_act_as_the_frozenset(self, case, data):
+        p, seed, x, y = case
+        z = data.draw(hs.integers(0, p - 1))
+        fields = data.draw(
+            hs.sampled_from(
+                [
+                    (p - 1, x, y),  # wrong p
+                    (p + 1, x, y),
+                    (p, y, x),  # swapped endpoints
+                    (p, x, z),  # another endpoint, or y again
+                    (p, x, x),  # x == y
+                    (p, x, p),  # an endpoint out of range
+                    (p, -1, y),
+                ]
+            )
+        )
+        query = data.draw(hs.sampled_from([(x, y), fields[1:]]))
+        _, got = all_but_oracles(p, seed)
+        _, want = all_but_oracles(p, seed)
+        a = AllBut(*fields)
+        for got_o, want_o in zip(got, want):
+            assert outcome(got_o, *query, a) == outcome(
+                want_o, *query, frozenset(a)
+            )
+            assert got_o.stats() == want_o.stats()
 
 
 class TestValidatedOnce:

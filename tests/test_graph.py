@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from conftest import random_dag, random_query
 from marvel.graph import (
+    AllBut,
     Dag,
     GraphConsistencyError,
     Pdag,
     apply_meek_rules,
+    check_query,
     cpdag_bruteforce,
     d_separated,
     d_separated_bruteforce,
@@ -137,13 +139,17 @@ class TestDSeparation:
 
     @pytest.mark.parametrize("p", [5, 70])
     def test_numpy_vertices_on_both_encodings(self, p):
-        # |s| = p - 2 is encoded from x and y alone, every other set from s
+        # AllBut(p, x, y) is encoded from x and y alone, every plain set from
+        # its own elements
         g = random_dag(random.Random(p), p, p)
         i = np.int64
         for s in ([2], range(2, p // 2 + 3), range(2, p)):
             assert d_separated(g, i(0), i(1), [i(v) for v in s]) == d_separated(
                 g, 0, 1, s
             )
+        assert d_separated(g, i(0), i(1), AllBut(p, i(0), i(1))) == d_separated(
+            g, 0, 1, range(2, p)
+        )
 
     def test_symmetry_random(self):
         rng = random.Random(7)
@@ -325,6 +331,62 @@ class TestShortPathCertificates:
             answer = certified(g, x, y, everything - {x, y})
             assert answer is not None
             assert answer is (y not in markov_boundary_graphical(g, x))
+
+
+class TestAllBut:
+    def test_set_of_every_other_vertex(self):
+        a = AllBut(6, 4, 1)
+        assert list(a) == [0, 2, 3, 5]
+        assert len(a) == 4
+        assert 2 in a and 2.0 in a
+        assert 1 not in a and 4 not in a and 6 not in a and -1 not in a
+        assert "2" not in a and None not in a
+        assert a == frozenset({0, 2, 3, 5}) == a
+        assert a == {0, 2, 3, 5} and a != {0, 2, 3}
+        assert a <= set(range(6)) and not a <= {0, 2}
+        assert a & {0, 1, 2} == frozenset({0, 2})
+        with pytest.raises(AttributeError):
+            a.extra = 1
+
+    @pytest.mark.parametrize("fields", [(6, 0, 5), (6, 3, 2), (2, 1, 0)])
+    def test_len_counts_the_members(self, fields):
+        a = AllBut(*fields)
+        assert len(a) == len(list(a)) == len(frozenset(a)) == fields[0] - 2
+
+    @pytest.mark.parametrize(
+        "fields, members",
+        [((6, 2, 2), {0, 1, 3, 4, 5}), ((6, 1, 9), {0, 2, 3, 4, 5}), ((1, 0, 1), set())],
+    )
+    def test_any_fields_convert_to_their_members(self, fields, members):
+        assert frozenset(AllBut(*fields)) == members
+
+    def test_never_exported(self):
+        import marvel
+
+        assert "AllBut" not in marvel.__all__
+
+    def test_check_query_keeps_only_its_own_query(self):
+        a = AllBut(6, 4, 1)
+        assert check_query(6, 4, 1, a) is a
+        for p, x, y in [(7, 4, 1), (6, 1, 4)]:
+            got = check_query(p, x, y, a)
+            assert type(got) is frozenset and got == a
+        with pytest.raises(ValueError, match="may not contain the endpoints"):
+            check_query(6, 4, 2, a)
+        with pytest.raises(ValueError, match="vertex 6 out of range"):
+            check_query(6, 4, 6, AllBut(6, 4, 6))
+        with pytest.raises(ValueError, match="endpoints must differ"):
+            check_query(6, 4, 4, AllBut(6, 4, 4))
+
+    def test_d_separated_matches_the_frozenset(self):
+        rng = random.Random(83)
+        for _ in range(100):
+            g = random_dag(rng, rng.randint(2, 9))
+            x, y = rng.sample(range(g.p), 2)
+            s = frozenset(range(g.p)) - {x, y}
+            want = d_separated_bruteforce(g, x, y, s)
+            assert d_separated(g, x, y, AllBut(g.p, x, y)) == want
+            assert d_separated_bruteforce(g, x, y, AllBut(g.p, x, y)) == want
 
 
 class TestDescendants:

@@ -163,6 +163,16 @@ class TestUpdateAfterRemoval:
         with pytest.raises(ValueError):
             update_after_removal(m, 1, (0, 2), o)
 
+    @pytest.mark.parametrize("n_x", [[1, -1], [1, 5], [1, 2.5]])
+    def test_out_of_range_neighbor_rejected_before_any_change(self, n_x):
+        o = dsep_oracle(Dag(3, [(0, 1), (1, 2)]))
+        m = total_conditioning(o)
+        before, start = m.copy(), o.stats()
+        with pytest.raises(ValueError, match="neighbor .* out of range"):
+            update_after_removal(m, 0, n_x, o)
+        assert m == before
+        assert o.stats() == start
+
     def test_copy_independent(self):
         m = MbMap(3)
         m.mb[0] = {1}
