@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .ci import CiOracle, Dataset, GaussianCiConfig, dsep_oracle, fisher_z_oracle
+from .ci import CiOracle, Dataset, dsep_oracle, fisher_z_oracle
 from .graph import Dag, Pdag, _pair
 from .marvel import LearnResult, _as_pdag, _orient, marvel_learn, run_learner
 from .mb import MbMap, total_conditioning
@@ -221,7 +221,7 @@ def _build_oracle(cfg: ExperimentConfig, g: Dag, seed: int) -> CiOracle:
     if cfg.oracle == "dsep":
         return dsep_oracle(g)
     data = simulate_dataset(g, cfg.n_samples, seed)
-    return fisher_z_oracle(data, GaussianCiConfig(alpha=cfg.alpha))
+    return fisher_z_oracle(data, cfg.alpha)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
@@ -248,14 +248,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
                 "m": g.n_edges,
                 "n_samples": cfg.n_samples if cfg.n_samples else 0,
                 "mb_tests": mb_tests,
-                "post_tests": res.metrics.n_tests,
-                "asc": res.metrics.asc,
-                "max_cond": res.metrics.max_cond,
+                "post_tests": res.stats.n_tests,
+                "asc": res.stats.asc,
+                "max_cond": res.stats.max_cond_size,
                 "precision": precision,
                 "recall": recall,
                 "f1": f1,
-                "wall_ms": res.metrics.wall_ms if cfg.record_wall else 0.0,
-                "warnings": res.metrics.warnings,
+                "wall_ms": res.wall_ms if cfg.record_wall else 0.0,
+                "warnings": len(res.warnings),
             }
         )
     mean = {"algo": cfg.algo, "seed": "mean"}

@@ -68,11 +68,11 @@ class CiOracle:
     before deciding anything. A query is counted only after ``_decide``
     returns, so a rejected one counts nothing. Each query is validated
     once, by the kernel that decides it: ``d_separated`` for ``DsepOracle``
-    and ``partial_correlation_from_corr`` for ``FisherZOracle``, which calls
-    ``check_query`` itself only for the degenerate queries that never reach
-    its kernel. Both kernels take an ``AllBut`` as it is: ``d_separated``
-    encodes it from x and y, and the Fisher-Z kernel reads it through
-    ``sorted(s)``.
+    and ``partial_correlation_from_corr`` for ``FisherZOracle``, which
+    repeats the kernel's checks itself only for the degenerate queries that
+    never reach it. Both kernels take an ``AllBut`` as it is:
+    ``d_separated`` encodes it from x and y, and the Fisher-Z kernel reads
+    it through ``sorted(s)``.
 
     ``search(x, y, pool, base, sizes)`` is the one subset search the
     learners use, and the only place that knows the enumeration order. It
@@ -216,13 +216,6 @@ def default_alpha(p: int) -> float:
     return 2.0 / (p * p)
 
 
-@dataclass
-class GaussianCiConfig:
-    """Fisher-Z settings; alpha=None resolves to default_alpha(p)."""
-
-    alpha: float | None = None
-
-
 _CLAMP = 1.0 - 1e-7
 
 
@@ -283,30 +276,28 @@ def partial_correlation_from_corr(corr: np.ndarray, x: int, y: int, s) -> float:
     return max(-_CLAMP, min(_CLAMP, r))
 
 
-def partial_correlation(d: Dataset, x: int, y: int, s) -> float:
-    return partial_correlation_from_corr(d.corr, x, y, s)
-
-
 class FisherZOracle(CiOracle):
     """Gaussian CI oracle: Fisher-transformed partial correlation z-test.
 
     z = sqrt(n - |s| - 3) * atanh(rho); independent iff |z| <= the two-sided
-    normal quantile for alpha, with ties counted as independent. Samples too
-    small for the transform (n <= |s| + 3) are declared dependent and counted
-    in ``n_degenerate``; a submatrix that is not positive definite (singular,
-    as collinear columns give, or indefinite) is declared dependent and
-    counted in ``n_singular``.
+    normal quantile for the significance level ``alpha``, with ties counted
+    as independent. ``alpha`` must lie in (0, 1) and defaults to
+    ``default_alpha(p)``. Samples too small for the transform
+    (n <= |s| + 3) are declared dependent and counted in ``n_degenerate``;
+    a submatrix that is not positive definite (singular, as collinear
+    columns give, or indefinite) is declared dependent and counted in
+    ``n_singular``.
 
-    A degenerate query is validated here with ``check_query`` before it is
-    counted; every other query is validated by the kernel,
-    ``partial_correlation_from_corr``, alone. The oracle keeps only the
-    sample count ``n`` and the correlation matrix ``corr`` of its dataset,
-    so the sample matrix is freed with the ``Dataset`` it came from.
+    A degenerate query is validated here before it is counted, and is
+    rejected exactly when the kernel would reject it; every other query is
+    validated by the kernel, ``partial_correlation_from_corr``, alone. The
+    oracle keeps only the sample count ``n`` and the correlation matrix
+    ``corr`` of its dataset, so the sample matrix is freed with the
+    ``Dataset`` it came from.
     """
 
-    def __init__(self, dataset: Dataset, config: GaussianCiConfig | None = None) -> None:
+    def __init__(self, dataset: Dataset, alpha: float | None = None) -> None:
         super().__init__()
-        alpha = config.alpha if config is not None else None
         if alpha is None:
             alpha = default_alpha(dataset.p)
         if not 0.0 < alpha < 1.0:
@@ -323,8 +314,11 @@ class FisherZOracle(CiOracle):
     def _decide(self, x: int, y: int, s: frozenset[int] | AllBut) -> bool:
         n = self.n
         if n <= len(s) + 3:
-            # This branch never reaches the kernel's own check.
-            check_query(self.p, x, y, s)
+            # This branch never reaches the kernel, so it repeats the
+            # kernel's checks: check_query, then the int() conversion that
+            # raises TypeError for a complex vertex such as 2+0j.
+            for v in (x, y, *check_query(self.p, x, y, s)):
+                int(v)
             self.n_degenerate += 1
             return False
         try:
@@ -336,7 +330,7 @@ class FisherZOracle(CiOracle):
         return abs(z) <= self.z_threshold
 
 
-def fisher_z_oracle(
-    dataset: Dataset, config: GaussianCiConfig | None = None
-) -> FisherZOracle:
-    return FisherZOracle(dataset, config)
+def fisher_z_oracle(dataset: Dataset, alpha: float | None = None) -> FisherZOracle:
+    """A ``FisherZOracle`` at significance level alpha, which defaults to
+    ``default_alpha(dataset.p)``."""
+    return FisherZOracle(dataset, alpha)

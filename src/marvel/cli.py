@@ -33,7 +33,7 @@ from .bench import (
     skeleton_metrics,
     solve,
 )
-from .ci import GaussianCiConfig, dsep_oracle, fisher_z_oracle, load_dataset, save_dataset
+from .ci import dsep_oracle, fisher_z_oracle, load_dataset, save_dataset
 from .graph import load_dag, load_pdag, markov_equivalent, save_dag, save_pdag
 
 
@@ -121,7 +121,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     else:
         truth = None
         dataset = load_dataset(args.data)
-        oracle = fisher_z_oracle(dataset, GaussianCiConfig(alpha=args.alpha))
+        oracle = fisher_z_oracle(dataset, args.alpha)
 
     mb_tests, result = solve(oracle, args.algo)
     if args.out:
@@ -130,12 +130,12 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     for line in result.warnings:
         print(f"warning: {line}", file=sys.stderr)
 
-    m = result.metrics
+    st = result.stats
     parts = [
         f"mb_tests={mb_tests}",
-        f"post_tests={m.n_tests}",
-        f"asc={m.asc:.6g}",
-        f"max_cond={m.max_cond}",
+        f"post_tests={st.n_tests}",
+        f"asc={st.asc:.6g}",
+        f"max_cond={st.max_cond_size}",
     ]
     if truth is not None:
         precision, recall, f1 = skeleton_metrics(result.essential, truth)
@@ -144,7 +144,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             f"recall={recall:.6g}",
             f"f1={f1:.6g}",
         ]
-    parts.append(f"warnings={m.warnings}")
+    parts.append(f"warnings={len(result.warnings)}")
     print(" ".join(parts))
     return 0
 

@@ -25,7 +25,7 @@ from math import ceil, comb
 from time import perf_counter
 from typing import Callable, Iterable
 
-from .ci import CiOracle
+from .ci import CiOracle, CiStats
 from .graph import (
     Pdag,
     _pair,
@@ -71,26 +71,18 @@ class MarvelCaches:
 
 
 @dataclass
-class RunMetrics:
-    """CI-test accounting for one learner run, plus its wall time and the
-    number of warnings it recorded. Skeleton accuracy against a truth graph
-    is scored separately by ``bench.skeleton_metrics``."""
-
-    n_tests: int = 0
-    asc: float = 0.0
-    max_cond: int = 0
-    wall_ms: float = 0.0
-    warnings: int = 0
-
-
-@dataclass
 class LearnResult:
-    """Essential graph plus the order of elimination and run accounting."""
+    """One learner run: the essential graph, the order of elimination, the
+    ``CiStats`` window of the queries the learner asked (boundary discovery
+    excluded), the warnings it recorded and its wall time. Skeleton accuracy
+    against a truth graph is scored separately by
+    ``bench.skeleton_metrics``."""
 
     essential: Pdag
     elimination_order: tuple[int, ...]
-    metrics: RunMetrics
+    stats: CiStats
     warnings: list[str]
+    wall_ms: float
 
 
 def find_neighbors(
@@ -287,8 +279,8 @@ def run_learner(
     report. The PDAG is then closed under the Meek rules, dropping
     contradictory orientations to undirected. Queries the oracle could not
     decide over its whole life, boundary discovery included, are reported
-    as warnings. Test counts cover the queries asked from here on, the
-    difference of two ``stats()`` snapshots.
+    as warnings. The result's ``stats`` covers the queries asked from here
+    on, the difference of two ``stats()`` snapshots.
     """
     if mb0.p != oracle.p:
         raise ValueError("boundary map and oracle disagree on p")
@@ -318,14 +310,8 @@ def run_learner(
             f"{oracle.n_singular} queries met a singular correlation "
             "submatrix and were declared dependent"
         )
-    metrics = RunMetrics(
-        n_tests=post.n_tests,
-        asc=post.asc,
-        max_cond=post.max_cond_size,
-        wall_ms=(perf_counter() - t0) * 1000.0,
-        warnings=len(warnings),
-    )
-    return LearnResult(essential, order, metrics, warnings)
+    wall_ms = (perf_counter() - t0) * 1000.0
+    return LearnResult(essential, order, post, warnings, wall_ms)
 
 
 def marvel_learn(

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from marvel.bench import generate_dag, pc_baseline
 from marvel.ci import DsepOracle
+from marvel.graph import AllBut
 from marvel.marvel import LearnResult, marvel_learn
 from marvel.mb import total_conditioning
 
@@ -56,16 +57,24 @@ GRID = tuple((graph, algo) for graph, algos in PLAN for algo in algos)
 
 
 class RecordingOracle(DsepOracle):
-    """d-separation oracle that logs every query it counts."""
+    """d-separation oracle that logs every query it counts.
+
+    An ``AllBut`` set, which total conditioning asks with, is passed on
+    unconverted so the oracle takes the same path it takes unrecorded;
+    ``all_but`` counts those queries.
+    """
 
     def __init__(self, dag) -> None:
         super().__init__(dag)
         self.vertices = frozenset(range(dag.p))
         self.log: list[tuple[int, int, int, tuple[int, ...]]] = []
+        self.all_but = 0
 
     def query(self, x, y, s=()):
-        s = frozenset(s)
+        if type(s) is not AllBut:
+            s = frozenset(s)
         answer = super().query(x, y, s)
+        self.all_but += type(s) is AllBut
         # A set of more than half the vertices is written as its complement,
         # which keeps total conditioning at p=150 cheap to record; its size
         # makes the encoding unambiguous.
@@ -98,7 +107,7 @@ def run_instance(graph, algo) -> tuple[dict, RecordingOracle, LearnResult]:
     sizes = [k for _, _, k, _ in oracle.log]
     record = {
         "mb_tests": mb_tests,
-        "post_tests": res.metrics.n_tests,
+        "post_tests": res.stats.n_tests,
         "cond_sum": sum(sizes),
         "cond_max": max(sizes, default=0),
         "order": list(res.elimination_order),

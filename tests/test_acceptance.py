@@ -13,7 +13,7 @@ import numpy as np
 
 from conftest import random_dag
 from marvel.bench import ExperimentConfig, run_experiment
-from marvel.ci import Dataset, GaussianCiConfig, dsep_oracle, fisher_z_oracle
+from marvel.ci import Dataset, dsep_oracle, fisher_z_oracle
 from marvel.graph import (
     apply_meek_rules,
     cpdag_bruteforce,
@@ -140,7 +140,7 @@ def test_08_independence_test_calibration():
     rejections = 0
     for _ in range(1000):
         data = Dataset(rng.standard_normal((10_000, 2)))
-        oracle = fisher_z_oracle(data, GaussianCiConfig(alpha=0.05))
+        oracle = fisher_z_oracle(data, alpha=0.05)
         if not oracle.query(0, 1):
             rejections += 1
     assert 0.04 <= rejections / 1000 <= 0.06, rejections
@@ -159,4 +159,4 @@ def test_09_caches_change_query_counts_but_never_output():
         )
         assert on.essential == off.essential, g
         assert on.elimination_order == off.elimination_order, g
-        assert on.metrics.n_tests <= off.metrics.n_tests, g
+        assert on.stats.n_tests <= off.stats.n_tests, g

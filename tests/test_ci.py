@@ -25,12 +25,10 @@ from marvel import ci, graph
 from marvel.ci import (
     CiStats,
     Dataset,
-    GaussianCiConfig,
     default_alpha,
     dsep_oracle,
     fisher_z_oracle,
     load_dataset,
-    partial_correlation,
     partial_correlation_from_corr,
     save_dataset,
 )
@@ -157,15 +155,19 @@ class TestDsepOracle:
         assert (o.n_degenerate, o.n_singular) == (0, 0)
 
 
+# With 3 rows every Fisher-Z query is degenerate (n <= |S| + 3), so the
+# oracle validates it itself and it never reaches the kernel.
 MAKE_ORACLE = [
     lambda: dsep_oracle(Dag(3, [(0, 1)])),
     lambda: fisher_z_oracle(Dataset(np.random.default_rng(4).normal(size=(30, 3)))),
+    lambda: fisher_z_oracle(Dataset(np.random.default_rng(4).normal(size=(3, 3)))),
 ]
 ORACLE_IDS = ["dsep", "fisher_z"]
+MAKE_ORACLE_IDS = [*ORACLE_IDS, "fisher_z_degenerate"]
 
 
 class TestQueryValidation:
-    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=ORACLE_IDS)
+    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=MAKE_ORACLE_IDS)
     def test_argument_errors_not_counted(self, make):
         o = make()
         with pytest.raises(ValueError, match="endpoints must differ"):
@@ -180,14 +182,14 @@ class TestQueryValidation:
         "query",
         [(0, 1, [2.5]), (0, 1, ["2"]), (0, 1, [None]), (0.5, 1, ()), (0, -1, ())],
     )
-    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=ORACLE_IDS)
+    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=MAKE_ORACLE_IDS)
     def test_non_vertex_rejected_before_counting(self, make, query):
         o = make()
         with pytest.raises(ValueError, match="out of range"):
             o.query(*query)
         assert o.stats().n_tests == 0
 
-    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=ORACLE_IDS)
+    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=MAKE_ORACLE_IDS)
     def test_numpy_integers_accepted(self, make):
         o = make()
         i = np.int64
@@ -195,7 +197,7 @@ class TestQueryValidation:
         assert o.query(np.intp(2), 0, ()) == o.query(2, 0, ())
         assert o.stats().n_tests == 4
 
-    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=ORACLE_IDS)
+    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=MAKE_ORACLE_IDS)
     def test_float_vertices_answered_as_the_vertex_they_equal(self, make):
         o = make()
         assert o.query(0, 2.0, [1]) == o.query(0, 2, [1])
@@ -205,18 +207,19 @@ class TestQueryValidation:
         assert (st.n_tests, st.sum_cond_size) == (6, 4)
 
     @pytest.mark.parametrize("query", [(0, 2 + 0j, ()), (0, 1, [2 + 0j])])
-    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=ORACLE_IDS)
+    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=MAKE_ORACLE_IDS)
     def test_query_that_raises_is_not_counted(self, make, query):
-        # 2+0j equals vertex 2, so it passes the check; the kernel's int()
-        # then raises, and the query must leave every counter as it was.
+        # 2+0j equals vertex 2, so it passes check_query; the kernel's int()
+        # then raises, as does the degenerate branch, which repeats it, and
+        # the query must leave every counter as it was.
         o = make()
         o.query(0, 1, ())
         start = o.stats()
         o.query(0, 2, [1])
-        before = (o.stats(), o.stats() - start)
+        before = (o.stats(), o.stats() - start, o.n_degenerate)
         with pytest.raises(TypeError):
             o.query(*query)
-        assert (o.stats(), o.stats() - start) == before
+        assert (o.stats(), o.stats() - start, o.n_degenerate) == before
 
     @pytest.mark.parametrize(
         "p, s",
@@ -541,7 +544,7 @@ class TestValidatedOnce:
         rng = random.Random(72)
         d = Dataset(np.random.default_rng(72).normal(size=(200, 9)))
         queries = [random_query(rng, 9) for _ in range(60)]
-        reference = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+        reference = fisher_z_oracle(d, alpha=0.05)
         expected = [reference.query(x, y, s) for x, y, s in queries]
         calls = []
         check = graph.check_query
@@ -552,7 +555,7 @@ class TestValidatedOnce:
 
         monkeypatch.setattr(graph, "check_query", counting_check)
         monkeypatch.setattr(ci, "check_query", counting_check)
-        o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+        o = fisher_z_oracle(d, alpha=0.05)
         for k, ((x, y, s), answer) in enumerate(zip(queries, expected), 1):
             assert o.query(x, y, s) == answer
             assert len(calls) == k
@@ -562,7 +565,7 @@ class TestValidatedOnce:
     @pytest.mark.parametrize("bad", [9, -1, 2.5, "3", None])
     def test_degenerate_fisher_z_query_checked_before_counting(self, bad):
         d = Dataset(np.random.default_rng(7).normal(size=(5, 4)))
-        o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+        o = fisher_z_oracle(d, alpha=0.05)
         o.query(0, 1, ())
         start = o.stats()
         # n = 5 <= |s| + 3 once |s| >= 2: the branch that skips the kernel
@@ -654,7 +657,7 @@ class TestDataset:
 
     def test_single_column_learns_the_one_vertex_graph(self):
         d = Dataset(np.random.default_rng(9).normal(size=(10, 1)))
-        o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+        o = fisher_z_oracle(d, alpha=0.05)
         result = marvel_learn(o, total_conditioning(o))
         assert result.essential == Pdag(1)
         assert result.warnings == []
@@ -678,7 +681,7 @@ class TestPartialCorrelation:
     def test_marginal_case_returns_corr_entry(self):
         rng = np.random.default_rng(3)
         d = Dataset(rng.normal(size=(40, 3)))
-        assert partial_correlation(d, 0, 2, ()) == pytest.approx(
+        assert partial_correlation_from_corr(d.corr, 0, 2, ()) == pytest.approx(
             float(d.corr[0, 2]), abs=1e-12
         )
 
@@ -844,19 +847,19 @@ class TestFisherZ:
         a = rng.normal(size=10000)
         b = 0.5 * a + sqrt(1 - 0.25) * rng.normal(size=10000)
         d = Dataset(np.column_stack([a, b]))
-        o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+        o = fisher_z_oracle(d, alpha=0.05)
         assert not o.query(0, 1, ())  # strongly dependent
 
     def test_independent_columns_accepted(self):
         rng = np.random.default_rng(6)
         d = Dataset(rng.normal(size=(5000, 2)))
-        o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.01))
+        o = fisher_z_oracle(d, alpha=0.01)
         assert o.query(0, 1, ())
 
     def test_degenerate_sample_forced_dependent(self):
         rng = np.random.default_rng(7)
         d = Dataset(rng.normal(size=(5, 4)))
-        o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+        o = fisher_z_oracle(d, alpha=0.05)
         # n = 5 <= |s| + 3 once |s| >= 2
         assert not o.query(0, 1, (2, 3))
         assert o.n_degenerate == 1
@@ -866,7 +869,7 @@ class TestFisherZ:
         # x3 = x0 + x1 makes the submatrix of {0, 1, 3} singular
         vals = np.random.default_rng(13).normal(size=(200, 4))
         vals[:, 3] = vals[:, 0] + vals[:, 1]
-        o = fisher_z_oracle(Dataset(vals), GaussianCiConfig(alpha=0.05))
+        o = fisher_z_oracle(Dataset(vals), alpha=0.05)
         assert not o.query(0, 2, (1, 3))
         assert (o.n_singular, o.n_degenerate) == (1, 0)
         assert o.stats().n_tests == 1
@@ -874,7 +877,7 @@ class TestFisherZ:
     def test_indefinite_submatrix_forced_dependent(self):
         d = Dataset(np.random.default_rng(17).normal(size=(200, 4)))
         d.corr = INDEFINITE.copy()
-        o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+        o = fisher_z_oracle(d, alpha=0.05)
         assert not o.query(0, 1, (2, 3))
         assert (o.n_singular, o.n_degenerate) == (1, 0)
         assert o.stats().n_tests == 1
@@ -882,7 +885,7 @@ class TestFisherZ:
     def test_oracle_does_not_keep_sample_matrix(self):
         d = Dataset(np.random.default_rng(20).normal(size=(300, 5)))
         values = weakref.ref(d.values)
-        o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+        o = fisher_z_oracle(d, alpha=0.05)
         answer = o.query(0, 1, (2, 3))
         del d
         gc.collect()
@@ -894,7 +897,7 @@ class TestFisherZ:
         rng = np.random.default_rng(8)
         d = Dataset(rng.normal(size=(10, 2)))
         with pytest.raises(ValueError):
-            fisher_z_oracle(d, GaussianCiConfig(alpha=1.5))
+            fisher_z_oracle(d, alpha=1.5)
 
     def test_alpha_default_resolution(self):
         rng = np.random.default_rng(9)
@@ -907,7 +910,7 @@ class TestFisherZ:
         from scipy.stats import norm
 
         d = Dataset(np.random.default_rng(18).normal(size=(20, 2)))
-        o = fisher_z_oracle(d, GaussianCiConfig(alpha=alpha))
+        o = fisher_z_oracle(d, alpha=alpha)
         assert o.z_threshold == float(norm.ppf(1.0 - alpha / 2.0))
 
     def test_import_does_not_load_scipy_stats(self):
@@ -940,8 +943,8 @@ class TestFisherZ:
             assert d.corr[0, 1] == pytest.approx(corr, abs=1e-9)
             return d
 
-        small = fisher_z_oracle(dataset(30), GaussianCiConfig(alpha=0.05))
-        big = fisher_z_oracle(dataset(200000), GaussianCiConfig(alpha=0.05))
+        small = fisher_z_oracle(dataset(30), alpha=0.05)
+        big = fisher_z_oracle(dataset(200000), alpha=0.05)
         assert small.query(0, 1, ())
         assert not big.query(0, 1, ())
 
@@ -953,7 +956,7 @@ class TestFisherZ:
         trials = 200
         for _ in range(trials):
             d = Dataset(rng.normal(size=(500, 2)))
-            o = fisher_z_oracle(d, GaussianCiConfig(alpha=0.05))
+            o = fisher_z_oracle(d, alpha=0.05)
             if not o.query(0, 1, ()):
                 rejects += 1
         assert 0.01 <= rejects / trials <= 0.10

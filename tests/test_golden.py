@@ -9,6 +9,8 @@ may not change which queries are counted or what is learned.
 """
 
 import json
+from collections import Counter
+from math import comb
 
 import pytest
 
@@ -34,8 +36,8 @@ def test_matches_golden(graph, algo):
         record["cond_sum"],
         record["cond_max"],
     )
+    # Total conditioning asked every pair given AllBut(p, x, y).
+    assert oracle.all_but == comb(graph[1], 2)
     # The learner's window holds exactly the queries after boundary discovery.
     post = [k for _, _, k, _ in oracle.log[record["mb_tests"]:]]
-    assert res.metrics.n_tests == len(post)
-    assert res.metrics.max_cond == max(post, default=0)
-    assert res.metrics.asc == (sum(post) / len(post) if post else 0.0)
+    assert res.stats.by_size == Counter(post)

@@ -1,11 +1,18 @@
-"""README.md's library quickstart, run as written."""
+"""README.md's library quickstart, run as written, and the names it cites."""
 
 import contextlib
 import io
 import re
+from functools import reduce
 from pathlib import Path
 
+import marvel
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Third-party names are not checked, nor are file names such as BENCHMARK.json.
+SKIPPED_HEADS = ("np", "scipy")
+FILE_SUFFIXES = ("csv", "edges", "json", "md", "py", "toml", "txt")
 
 
 def quickstart_blocks():
@@ -14,18 +21,54 @@ def quickstart_blocks():
     return re.findall(r"```python\n(.*?)```", section, flags=re.S)
 
 
-def test_quickstart_blocks_run_and_match_their_comments():
-    exact, finite = quickstart_blocks()
+def run_exact_quickstart():
+    exact, _ = quickstart_blocks()
     ns = {}
     with contextlib.redirect_stdout(io.StringIO()):
         exec(compile(exact, "README.md", "exec"), ns)
+    return ns
+
+
+def dotted_names():
+    """Every dotted name inside a backticked span outside the code blocks;
+    a name that continues a path, such as run.py in perfbench/run.py, is
+    left out."""
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    for span in re.findall(r"`([^`]+)`", text):
+        yield from re.findall(r"(?<![\w./-])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)
+
+
+def test_quickstart_blocks_run_and_match_their_comments():
+    _, finite = quickstart_blocks()
+    ns = run_exact_quickstart()
     result, oracle = ns["result"], ns["oracle"]
     assert result.essential.directed == {(0, 2), (1, 2)}
     assert result.elimination_order == (0, 1, 2)
     # boundary discovery asks C(3, 2) = 3 tests before the learner's own
-    assert oracle.stats().n_tests == result.metrics.n_tests + 3
+    assert oracle.stats().n_tests == result.stats.n_tests + 3
 
     exec(compile(finite, "README.md", "exec"), ns)
     assert ns["data"].n == 5000
     assert ns["oracle"].alpha == 2 / 3**2
     assert ns["result"].essential.p == 3
+
+
+def test_cited_names_resolve():
+    # marvel.… against the package; result.… and oracle.… on the exact
+    # quickstart's objects; any other head, a module such as graph or a
+    # class such as CiOracle, against the package's namespace.
+    ns = run_exact_quickstart()
+    roots = {"marvel": marvel, "result": ns["result"], "oracle": ns["oracle"]}
+    names = list(dotted_names())
+    assert "result.warnings" in names
+    unresolved = []
+    for name in names:
+        head, *attrs = name.split(".")
+        if head in SKIPPED_HEADS or attrs[-1] in FILE_SUFFIXES:
+            continue
+        obj, path = (roots[head], attrs) if head in roots else (marvel, [head, *attrs])
+        try:
+            reduce(getattr, path, obj)
+        except AttributeError:
+            unresolved.append(name)
+    assert unresolved == []
