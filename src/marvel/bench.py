@@ -17,7 +17,14 @@ import numpy as np
 
 from .ci import CiOracle, Dataset, dsep_oracle, fisher_z_oracle
 from .graph import Dag, Pdag, _pair
-from .marvel import LearnResult, _as_pdag, _orient, marvel_learn, run_learner
+from .marvel import (
+    LearnResult,
+    _as_pdag,
+    _orient,
+    ci_budget_bound,
+    marvel_learn,
+    run_learner,
+)
 from .mb import MbMap, total_conditioning
 from .synth import (
     cluster_adversarial_dag,
@@ -46,6 +53,8 @@ CSV_COLUMNS = (
     "f1",
     "wall_ms",
     "warnings",
+    "budget",
+    "within_budget",
 )
 
 
@@ -225,7 +234,13 @@ def _build_oracle(cfg: ExperimentConfig, g: Dag, seed: int) -> CiOracle:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
-    """One row per seed plus a final mean row (seed column "mean")."""
+    """One row per seed plus a final mean row (seed column "mean").
+
+    Each row ends with ``budget``, ``ci_budget_bound`` at p and the graph's
+    largest in-degree, and ``within_budget``, 1 when ``post_tests`` is at
+    most that budget and 0 otherwise; the mean row's ``within_budget`` is
+    the share of runs within budget.
+    """
     rows = []
     for seed in cfg.seeds:
         try:
@@ -235,6 +250,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
             raise ValueError(f"seed {seed}: {exc}") from exc
         mb_tests, res = solve(oracle, cfg.algo)
         precision, recall, f1 = skeleton_metrics(res.essential, g)
+        budget = ci_budget_bound(cfg.p, g.max_in_degree())
         rows.append(
             {
                 "algo": cfg.algo,
@@ -256,6 +272,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
                 "f1": f1,
                 "wall_ms": res.wall_ms if cfg.record_wall else 0.0,
                 "warnings": len(res.warnings),
+                "budget": budget,
+                "within_budget": int(res.stats.n_tests <= budget),
             }
         )
     mean = {"algo": cfg.algo, "seed": "mean"}

@@ -71,8 +71,9 @@ class CiOracle:
     and ``partial_correlation_from_corr`` for ``FisherZOracle``, which
     repeats the kernel's checks itself only for the degenerate queries that
     never reach it. Both kernels take an ``AllBut`` as it is:
-    ``d_separated`` encodes it from x and y, and the Fisher-Z kernel reads
-    it through ``sorted(s)``.
+    ``d_separated`` answers it from the moral row, independent exactly when
+    y is off x's Markov blanket, and the Fisher-Z kernel reads it through
+    ``sorted(s)``.
 
     ``search(x, y, pool, base, sizes)`` is the one subset search the
     learners use, and the only place that knows the enumeration order. It

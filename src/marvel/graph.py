@@ -240,6 +240,10 @@ class AllBut(Set):
     and never built: membership and length take O(1), iteration runs in
     ascending order. Compares equal to any set with the same members.
 
+    ``d_separated`` never reads the members of the ``AllBut`` of its own
+    query: given every other vertex, x and y are d-separated exactly when y
+    is off x's moral row (its Markov blanket), which ``Dag`` precomputes.
+
     x and y are meant to be two distinct vertices of 0..p-1, the only case
     in which the length, p - 2, is right. Checking them here would cost as
     much as the query they serve, so ``check_query`` does it: it checks x
@@ -306,9 +310,16 @@ def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
     Works on the bitmasks ``Dag`` precomputes: parent and child rows,
     ancestor closures (v included), strict-descendant closures and moral rows
     (parents, children and co-parents, v excluded). Python ints are
-    unbounded, so any vertex count works. The mask of s is built from its
-    own elements, with one exception: ``AllBut(g.p, x, y)``, which
-    ``check_query`` passes through, is encoded from x and y alone.
+    unbounded, so any vertex count works.
+
+    Total conditioning is answered from the moral row alone. Given
+    ``AllBut(g.p, x, y)``, which ``check_query`` passes through, x and y are
+    d-separated exactly when y is off x's moral row, its Markov blanket: a
+    pair on the row is adjacent or has a common child, which lies in s, so
+    a path of at most two edges is open; for any other pair x's whole row
+    lies in s, which blocks every path (see the separation certificate
+    below). No mask of s is built. Every other s is encoded from its own
+    elements.
 
     Answers from a certificate when one holds. "d-connected" at once when an
     open path of at most two edges joins x and y: an edge; a vertex outside
@@ -320,11 +331,7 @@ def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
     Failing that, "d-separated" when every vertex of x's moral row is in s,
     or every one of y's is. In the moral graph of the ancestral set the
     neighbors of x are a subset of its row, and y, which is never in s, is
-    then not among them, so no path leaves x outside s. This answers every
-    query of total conditioning (s = every other vertex) without a search:
-    a pair in each other's Markov boundary is adjacent or has a common child
-    in s, which the short-path certificates answer, and for any other pair
-    the row lies in s.
+    then not among them, so no path leaves x outside s.
 
     Otherwise applies the moralization criterion: x and y are d-separated
     iff they are disconnected in the moralized ancestral subgraph of
@@ -338,18 +345,17 @@ def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
     bits = g._bits
     if type(s) is AllBut:
         # check_query passes on only the AllBut of this very query.
-        smask = ((1 << g.p) - 1) ^ bits[x] ^ bits[y]
-    else:
+        return not g._mmask[x] & bits[y]
+    smask = 0
+    try:
+        for v in s:
+            smask |= bits[v]
+    except TypeError:
+        # A float such as 2.0 equals a vertex but cannot index the table;
+        # int() answers it as that vertex and raises for a complex one.
         smask = 0
-        try:
-            for v in s:
-                smask |= bits[v]
-        except TypeError:
-            # A float such as 2.0 equals a vertex but cannot index the table;
-            # int() answers it as that vertex and raises for a complex one.
-            smask = 0
-            for v in s:
-                smask |= 1 << int(v)
+        for v in s:
+            smask |= 1 << int(v)
 
     pmask = g._pmask
     cmask = g._cmask

@@ -1,14 +1,14 @@
 """Structure learning by recursive elimination of removable variables.
 
-Each round sorts the remaining variables by Markov boundary size, walks that
-order looking for the first variable whose removability battery passes,
-records the adjacent pairs and collider orientations each battery revealed,
-removes the variable, and patches the boundary map. Both learners keep one
-edge record: the set of adjacent pairs, and the head of the first collider
-orientation each pair got. Once every variable is eliminated, each pair with
-no head points at its endpoint eliminated first, the colliders of that graph
-the run actually vouches for are kept, and the Meek rules close them into
-the essential graph.
+Each round walks the remaining variables in order of Markov boundary size,
+ties to the smaller index, looking for the first whose removability battery
+passes, records the adjacent pairs and collider orientations each battery
+revealed, removes the variable, and patches the boundary map. Both learners
+keep one edge record: the set of adjacent pairs, and the head of the first
+collider orientation each pair got. Once every variable is eliminated, each
+pair with no head points at its endpoint eliminated first, the colliders of
+that graph the run actually vouches for are kept, and the Meek rules close
+them into the essential graph.
 
 All batteries run against the current Markov boundary only, which keeps the
 conditioning sets small; cross-round caches avoid repeating queries whose
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from heapq import heapify, heappop
 from itertools import combinations
 from math import ceil, comb
 from time import perf_counter
@@ -338,16 +339,21 @@ def _eliminate(
     pairs: set[tuple[int, int]] = set()
     heads: dict[tuple[int, int], int] = {}
     order: list[int] = []
+    alive = set(range(p))
 
-    while len(order) < p:
-        scan = sorted(m.alive(), key=lambda v: (len(m.mb[v]), v))
-        fallback: NeighborInfo | None = None
-        for x in scan:
+    while alive:
+        # Scan order is (|Mb(v)|, v), popped lazily: a round usually stops
+        # after a few batteries, so sorting every alive vertex is waste.
+        scan = [(len(m.mb[v]), v) for v in alive]
+        heapify(scan)
+        first: tuple[int, NeighborInfo] | None = None
+        while scan:
+            x = heappop(scan)[1]
             battery_caches = caches if use_caches else MarvelCaches()
             mb_x = frozenset(m.mb[x])
             verdict, info, vpa = is_removable_ci(x, mb_x, oracle, battery_caches)
-            if fallback is None:
-                fallback = info
+            if first is None:
+                first = x, info
             pairs.update(_pair(x, y) for y in info.neighbors)
             for _, y, t in sorted(vpa):
                 _orient(heads, x, y, warnings)
@@ -355,11 +361,12 @@ def _eliminate(
             if verdict:
                 break
         else:
-            x, info = scan[0], fallback
+            x, info = first
             warnings.append(
                 f"no removable vertex in round {len(order)}; "
                 f"forcing removal of {x}"
             )
+        alive.discard(x)
         order.append(x)
         update_after_removal(m, x, sorted(info.neighbors), oracle)
 

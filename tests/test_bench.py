@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from conftest import random_dag
-from marvel import cli
+from marvel import bench, cli
 from marvel.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
+    generate_dag,
     parse_config,
     pc_baseline,
     rows_to_csv,
@@ -294,6 +295,24 @@ class TestRunExperiment:
         bound = ci_budget_bound(10, 2)
         for row in run_experiment(DSEP_CFG)[:-1]:
             assert row["post_tests"] <= bound
+
+    def test_budget_columns_follow_warnings(self):
+        assert CSV_COLUMNS[14:] == ("warnings", "budget", "within_budget")
+        rows = run_experiment(DSEP_CFG)
+        for row in rows[:-1]:
+            g = generate_dag("fixed_indegree", 10, row["seed"], delta_in=2)
+            assert row["budget"] == ci_budget_bound(10, g.max_in_degree())
+        assert [r["within_budget"] for r in rows] == [1, 1, 1, 1, 1.0]
+
+    def test_within_budget_share_in_mean_row(self, monkeypatch):
+        posts = [r["post_tests"] for r in run_experiment(DSEP_CFG)[:-1]]
+        cap = sorted(posts)[1]
+        monkeypatch.setattr(bench, "ci_budget_bound", lambda p, d: cap)
+        rows = run_experiment(DSEP_CFG)
+        within = [int(t <= cap) for t in posts]
+        assert 0 < sum(within) < len(posts)
+        assert [r["within_budget"] for r in rows[:-1]] == within
+        assert rows[-1]["within_budget"] == sum(within) / len(posts)
 
     def test_finite_sample_run_completes(self):
         cfg = ExperimentConfig(

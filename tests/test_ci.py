@@ -32,10 +32,17 @@ from marvel.ci import (
     partial_correlation_from_corr,
     save_dataset,
 )
-from marvel.graph import AllBut, Dag, Pdag, d_separated, d_separated_bruteforce
+from marvel.graph import (
+    AllBut,
+    Dag,
+    Pdag,
+    d_separated,
+    d_separated_bruteforce,
+    markov_boundary_graphical,
+)
 from marvel.marvel import marvel_learn
 from marvel.mb import total_conditioning
-from marvel.synth import random_scm, sample
+from marvel.synth import fixed_indegree_dag, random_scm, sample
 
 
 def population_corr(p, edges_with_coeffs, noise_var):
@@ -479,6 +486,29 @@ class TestAllButQueries:
                 want_o.n_singular,
             )
         assert got[0].query(x, y, AllBut(p, x, y)) == truth
+
+    @settings(max_examples=100, deadline=None)
+    @given(hs.integers(2, 9), hs.integers(0, 2**32 - 1))
+    def test_every_pair_answers_from_the_moral_row(self, p, seed):
+        # Given every other vertex, x and y are independent exactly when y
+        # is off x's Markov blanket; each query still counts once at p - 2.
+        g = random_dag(random.Random(seed), p)
+        o = dsep_oracle(g)
+        for x, y in combinations(range(p), 2):
+            s = frozenset(range(p)) - {x, y}
+            before = o.stats()
+            answer = o.query(x, y, AllBut(p, x, y))
+            assert o.stats() - before == CiStats({p - 2: 1})
+            assert answer == (y not in markov_boundary_graphical(g, x))
+            assert answer == d_separated_bruteforce(g, x, y, s)
+
+    def test_moral_row_answers_at_p_150(self):
+        g = fixed_indegree_dag(150, 4, 0)
+        o = dsep_oracle(g)
+        for x, y in combinations(range(g.p), 2):
+            answer = o.query(x, y, AllBut(g.p, x, y))
+            assert answer == (y not in markov_boundary_graphical(g, x))
+        assert o.stats() == CiStats({148: 150 * 149 // 2})
 
     @settings(max_examples=100, deadline=None)
     @given(all_but_queries())

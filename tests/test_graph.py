@@ -139,8 +139,8 @@ class TestDSeparation:
 
     @pytest.mark.parametrize("p", [5, 70])
     def test_numpy_vertices_on_both_encodings(self, p):
-        # AllBut(p, x, y) is encoded from x and y alone, every plain set from
-        # its own elements
+        # AllBut(p, x, y) is answered from x's moral row, every plain set is
+        # encoded from its own elements
         g = random_dag(random.Random(p), p, p)
         i = np.int64
         for s in ([2], range(2, p // 2 + 3), range(2, p)):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dag
+from marvel import marvel as marvel_module
 from marvel.bench import pc_baseline, simulate_dataset, solve
 from marvel.ci import CiStats, dsep_oracle, fisher_z_oracle
 from marvel.graph import (
@@ -33,7 +34,7 @@ from marvel.marvel import (
     is_removable_ci,
     marvel_learn,
 )
-from marvel.mb import total_conditioning
+from marvel.mb import total_conditioning, update_after_removal
 from marvel.synth import erdos_renyi_dag, fixed_indegree_dag
 
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
@@ -415,6 +416,55 @@ class TestRunProperties:
             g = random_dag(rng, rng.randint(2, 7))
             res = learn(g)
             assert res.warnings == []
+
+
+def scan_rounds(monkeypatch, oracle):
+    """Solve with marvel, recording each round as (boundary map before the
+    removal, vertices the scan tried, their verdicts, removed vertex)."""
+    rounds, tried, verdicts = [], [], []
+
+    def battery(x, mb_x, oracle, caches):
+        out = is_removable_ci(x, mb_x, oracle, caches)
+        tried.append(x)
+        verdicts.append(out[0])
+        return out
+
+    def update(m, x, n_x, oracle):
+        rounds.append((m.copy(), tried[:], verdicts[:], x))
+        tried.clear()
+        verdicts.clear()
+        return update_after_removal(m, x, n_x, oracle)
+
+    monkeypatch.setattr(marvel_module, "is_removable_ci", battery)
+    monkeypatch.setattr(marvel_module, "update_after_removal", update)
+    _, res = solve(oracle, "marvel")
+    return rounds, res
+
+
+@pytest.mark.parametrize("recipe", ["exact", "fisher_z-forced"])
+def test_scan_tries_a_prefix_of_the_boundary_size_order(monkeypatch, recipe):
+    if recipe == "exact":
+        oracle = dsep_oracle(fixed_indegree_dag(30, 4, 3))
+    else:
+        g = erdos_renyi_dag(6, 6, 139)
+        oracle = fisher_z_oracle(simulate_dataset(g, 40, 139), 0.2)
+    rounds, res = scan_rounds(monkeypatch, oracle)
+    assert tuple(r[3] for r in rounds) == res.elimination_order
+    forced = 0
+    for m, tried, verdicts, removed in rounds:
+        alive = [v for v in range(m.p) if v not in m.removed]
+        order = sorted(alive, key=lambda v: (len(m.mb[v]), v))
+        assert tried == order[: len(tried)]
+        if verdicts[-1]:
+            assert removed == tried[-1] and not any(verdicts[:-1])
+        else:
+            assert tried == order and removed == order[0]
+            forced += 1
+    assert forced == sum("no removable vertex" in w for w in res.warnings)
+    if recipe == "exact":
+        assert forced == 0 and any(len(r[1]) > 1 for r in rounds)
+    else:
+        assert forced >= 1
 
 
 def _essential_digest(ess):
