@@ -200,10 +200,16 @@ def simulate_dataset(g: Dag, n_samples: int, seed: int) -> Dataset:
 def _check_generator(generator: str, m: int | None, delta_in: int | None) -> None:
     if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}")
-    if generator == "erdos_renyi" and m is None:
-        raise ValueError("erdos_renyi needs m")
-    if generator != "erdos_renyi" and delta_in is None:
-        raise ValueError(f"{generator} needs delta_in")
+    if generator == "erdos_renyi":
+        if m is None:
+            raise ValueError("erdos_renyi needs m")
+        if delta_in is not None:
+            raise ValueError("erdos_renyi takes no delta_in")
+    else:
+        if delta_in is None:
+            raise ValueError(f"{generator} needs delta_in")
+        if m is not None:
+            raise ValueError(f"{generator} takes no m")
 
 
 def generate_dag(
@@ -216,7 +222,8 @@ def generate_dag(
     """A DAG from one of the GENERATORS families.
 
     erdos_renyi takes the edge count m; fixed_indegree and cluster take
-    delta_in. The cluster family is deterministic and ignores the seed.
+    delta_in, and each rejects the other's. The cluster family is
+    deterministic and ignores the seed.
     """
     _check_generator(generator, m, delta_in)
     if generator == "erdos_renyi":

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import atanh, sqrt
+from operator import index
 from typing import Iterable
 
 import numpy as np
@@ -250,18 +251,20 @@ def partial_correlation_from_corr(corr: np.ndarray, x: int, y: int, s) -> float:
     A submatrix that is not positive definite (singular or indefinite)
     raises LinAlgError rather than returning a silent junk value. Output is
     clamped to +-(1 - 1e-7) so the Fisher transform stays finite.
+    The vertices index ``corr`` as given: a float or complex one raises
+    TypeError, as does a ``np.uint64`` mixed with other integers, which
+    numpy gathers into a float array.
     """
     s = check_query(corr.shape[0], x, y, s)
     if not s:
-        r = float(corr[int(x), int(y)])
+        r = float(corr[index(x), index(y)])
     else:
         idx = sorted(s)
         idx.append(x)
         idx.append(y)
-        # One conversion serves both gathers; it turns a vertex given as a
-        # numpy integer or an integral float into that vertex, and raises
-        # TypeError for a complex one.
-        idx = np.array(idx, dtype=np.intp)
+        # One array serves both gathers. take() rejects a float or complex
+        # index array with TypeError rather than truncating it.
+        idx = np.array(idx)
         sub = corr.take(idx, axis=0).take(idx, axis=1)
         # sub.T is a Fortran-ordered view, so LAPACK factors the gathered
         # copy in place and never touches corr. Positional arguments in
@@ -316,10 +319,10 @@ class FisherZOracle(CiOracle):
         n = self.n
         if n <= len(s) + 3:
             # This branch never reaches the kernel, so it repeats the
-            # kernel's checks: check_query, then the int() conversion that
-            # raises TypeError for a complex vertex such as 2+0j.
+            # kernel's checks: check_query, then the integer rule that
+            # raises TypeError for a vertex such as 2.0 or 2+0j.
             for v in (x, y, *check_query(self.p, x, y, s)):
-                int(v)
+                index(v)
             self.n_degenerate += 1
             return False
         try:

@@ -280,9 +280,11 @@ def check_query(
 
     Every query entry point (the oracles, d-separation, partial correlation)
     checks its arguments here, so all of them reject the same inputs with
-    the same messages. A vertex is valid when it equals one of 0..p-1, so
-    numpy integers pass and 2.5 or "2" do not; the kernels convert with
-    ``int`` where they use a vertex as a number.
+    the same messages. A vertex is an integer in 0..p-1, anything
+    ``operator.index`` accepts: Python ints, numpy integers and bools. A
+    value equal to none of 0..p-1, such as 2.5, -1 or "2", raises
+    ValueError here; 2.0 or 2+0j passes, and the kernel that indexes with
+    it raises TypeError. Nothing converts a vertex.
 
     The ``AllBut(p, x, y)`` of this very query is returned as it is, after
     only x and y are checked: its members are vertices other than x and y
@@ -309,29 +311,25 @@ def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
 
     Works on the bitmasks ``Dag`` precomputes: parent and child rows,
     ancestor closures (v included), strict-descendant closures and moral rows
-    (parents, children and co-parents, v excluded). Python ints are
-    unbounded, so any vertex count works.
+    (parents, children and co-parents, v excluded), indexed by the vertices
+    as given, so a float or complex vertex raises TypeError. Python ints
+    are unbounded, so any vertex count works.
 
     Total conditioning is answered from the moral row alone. Given
     ``AllBut(g.p, x, y)``, which ``check_query`` passes through, x and y are
     d-separated exactly when y is off x's moral row, its Markov blanket: a
     pair on the row is adjacent or has a common child, which lies in s, so
     a path of at most two edges is open; for any other pair x's whole row
-    lies in s, which blocks every path (see the separation certificate
-    below). No mask of s is built. Every other s is encoded from its own
-    elements.
+    lies in s, and in the moral graph of the ancestral set x's neighbors
+    are a subset of that row, so no path leaves x outside s. No mask of s
+    is built. Every other s is encoded from its own elements.
 
-    Answers from a certificate when one holds. "d-connected" at once when an
-    open path of at most two edges joins x and y: an edge; a vertex outside
-    s that is a common parent of x and y or lies between them on a directed
-    path; or a common child that is in s or has a descendant in s. Most
-    queries of the learner's subset searches end there, since the pairs it
-    tests are mostly adjacent or share a parent or child.
-
-    Failing that, "d-separated" when every vertex of x's moral row is in s,
-    or every one of y's is. In the moral graph of the ancestral set the
-    neighbors of x are a subset of its row, and y, which is never in s, is
-    then not among them, so no path leaves x outside s.
+    Answers "d-connected" at once when an open path of at most two edges
+    joins x and y: an edge; a vertex outside s that is a common parent of
+    x and y or lies between them on a directed path; or a common child that
+    is in s or has a descendant in s. Most queries of the learner's subset
+    searches end there, since the pairs it tests are mostly adjacent or
+    share a parent or child.
 
     Otherwise applies the moralization criterion: x and y are d-separated
     iff they are disconnected in the moralized ancestral subgraph of
@@ -341,21 +339,13 @@ def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
     visits rather than the vertex count.
     """
     s = check_query(g.p, x, y, s)
-    x, y = int(x), int(y)
     bits = g._bits
     if type(s) is AllBut:
         # check_query passes on only the AllBut of this very query.
         return not g._mmask[x] & bits[y]
     smask = 0
-    try:
-        for v in s:
-            smask |= bits[v]
-    except TypeError:
-        # A float such as 2.0 equals a vertex but cannot index the table;
-        # int() answers it as that vertex and raises for a complex one.
-        smask = 0
-        for v in s:
-            smask |= 1 << int(v)
+    for v in s:
+        smask |= bits[v]
 
     pmask = g._pmask
     cmask = g._cmask
@@ -374,10 +364,6 @@ def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
         c &= c - 1
         if ((1 << w) | dmask[w]) & smask:
             return False
-    # Separation certificate: x's or y's whole moral row lies in s.
-    mmask = g._mmask
-    if not mmask[x] & ~smask or not mmask[y] & ~smask:
-        return True
 
     # An({x, y} | s) is the union of the seed vertices' ancestor closures.
     amask = g._amask

@@ -10,6 +10,7 @@ test per such pair settles it.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import index
 from typing import Iterable
 
 from .ci import CiOracle
@@ -31,9 +32,6 @@ class MbMap:
         self.p = p
         self.mb: list[set[int]] = [set() for _ in range(p)]
         self.removed: set[int] = set()
-
-    def alive(self) -> list[int]:
-        return [v for v in range(self.p) if v not in self.removed]
 
     def copy(self) -> "MbMap":
         out = MbMap(self.p)
@@ -86,6 +84,8 @@ def update_after_removal(
     smaller of the two boundaries (ties broken by smaller index) minus
     {x, y, z}; independence deletes the pair from each other's boundary.
     At most C(|n_x|, 2) queries.
+    Every argument is checked before the map changes: ValueError for a
+    vertex out of range, TypeError from ``operator.index`` for 2.0 or 2+0j.
     """
     if x not in range(m.p):
         raise ValueError(f"vertex {x} out of range for p={m.p}")
@@ -99,6 +99,7 @@ def update_after_removal(
             raise ValueError(f"neighbor {v} was already removed")
         if v == x:
             raise ValueError("a vertex cannot neighbor itself")
+    x, n_x = index(x), [index(v) for v in n_x]
 
     m.removed.add(x)
     for y in m.mb[x]:

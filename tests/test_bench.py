@@ -244,6 +244,13 @@ class TestParseConfig:
             "oracle = dsep\nseeds = 0",
             "seeds = 0\ngenerator = erdos_renyi\np = 4\nm = 1\nalgo = pc\n"
             "oracle = dsep\nseeds = 1",
+            # a parameter the generator family ignores is an error
+            "generator = fixed_indegree\np = 8\ndelta_in = 2\nm = 5\n"
+            "algo = pc\noracle = dsep\nseeds = 0",
+            "generator = cluster\np = 8\ndelta_in = 2\nm = 5\n"
+            "algo = pc\noracle = dsep\nseeds = 0",
+            "generator = erdos_renyi\np = 8\nm = 5\ndelta_in = 2\n"
+            "algo = pc\noracle = dsep\nseeds = 0",
         ],
     )
     def test_bad_config_text_rejected(self, text):
@@ -455,6 +462,13 @@ class TestCli:
              "--delta-in", "-1", "--out", "x.edges"],
             ["generate", "--generator", "erdos_renyi", "--p", "3",
              "--m", "-1", "--out", "x.edges"],
+            # a parameter the generator family ignores
+            ["generate", "--generator", "cluster", "--p", "5",
+             "--delta-in", "2", "--m", "2", "--out", "x.edges"],
+            ["generate", "--generator", "fixed_indegree", "--p", "5",
+             "--delta-in", "2", "--m", "2", "--out", "x.edges"],
+            ["generate", "--generator", "erdos_renyi", "--p", "5",
+             "--m", "2", "--delta-in", "2", "--out", "x.edges"],
         ],
     )
     def test_argument_errors_exit_1(self, argv, tmp_path, monkeypatch, capsys):

@@ -172,6 +172,27 @@ MAKE_ORACLE = [
 ORACLE_IDS = ["dsep", "fisher_z"]
 MAKE_ORACLE_IDS = [*ORACLE_IDS, "fisher_z_degenerate"]
 
+# The two public kernels over vertices 0..2.
+CORR3 = Dataset(np.random.default_rng(4).normal(size=(30, 3))).corr
+KERNELS = {
+    "d_separated": lambda x, y, s: d_separated(Dag(3, [(0, 1)]), x, y, s),
+    "partial_correlation": lambda x, y, s: partial_correlation_from_corr(
+        CORR3, x, y, s
+    ),
+}
+
+
+def non_integer_queries(v):
+    """Queries over vertices 0..2 with v, a non-integer equal to vertex 2,
+    as x, as y, inside a plain S, and as the x or y of its own AllBut."""
+    return [
+        (v, 1, ()),
+        (0, v, ()),
+        (0, 1, [v]),
+        (v, 0, AllBut(3, v, 0)),
+        (1, v, AllBut(3, 1, v)),
+    ]
+
 
 class TestQueryValidation:
     @pytest.mark.parametrize("make", MAKE_ORACLE, ids=MAKE_ORACLE_IDS)
@@ -204,21 +225,45 @@ class TestQueryValidation:
         assert o.query(np.intp(2), 0, ()) == o.query(2, 0, ())
         assert o.stats().n_tests == 4
 
+    @pytest.mark.parametrize("v", [2.0, 2 + 0j], ids=["float", "complex"])
     @pytest.mark.parametrize("make", MAKE_ORACLE, ids=MAKE_ORACLE_IDS)
-    def test_float_vertices_answered_as_the_vertex_they_equal(self, make):
+    def test_non_integer_vertex_raises_uncounted(self, make, v):
+        # v equals vertex 2, so it passes check_query, and the kernel (or
+        # the degenerate branch) rejects it as an index.
         o = make()
-        assert o.query(0, 2.0, [1]) == o.query(0, 2, [1])
-        assert o.query(2.0, 1, ()) == o.query(2, 1, ())
-        assert o.query(0, 1, [2.0]) == o.query(0, 1, [2])
-        st = o.stats()
-        assert (st.n_tests, st.sum_cond_size) == (6, 4)
+        o.query(0, 1, ())
+        o.query(0, 2, [1])
+        before = (o.stats(), o.n_degenerate, o.n_singular)
+        for x, y, s in non_integer_queries(v):
+            with pytest.raises(TypeError):
+                o.query(x, y, s)
+        assert (o.stats(), o.n_degenerate, o.n_singular) == before
+
+    @pytest.mark.parametrize("v", [2.0, 2 + 0j], ids=["float", "complex"])
+    @pytest.mark.parametrize("kernel", KERNELS.values(), ids=list(KERNELS))
+    def test_non_integer_vertex_rejected_by_the_kernels(self, kernel, v):
+        for x, y, s in non_integer_queries(v):
+            with pytest.raises(TypeError):
+                kernel(x, y, s)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.int16, np.uint8])
+    @pytest.mark.parametrize("kernel", KERNELS.values(), ids=list(KERNELS))
+    def test_numpy_integer_vertices_answer_as_ints(self, kernel, kind):
+        for x, y, s in [(0, 1, ()), (0, 2, [1]), (2, 1, [0]), (1, 0, [2])]:
+            want = kernel(x, y, s)
+            got = kernel(kind(x), kind(y), [kind(v) for v in s])
+            assert got == want
+            own = AllBut(3, kind(x), kind(y))
+            assert kernel(kind(x), kind(y), own) == kernel(x, y, AllBut(3, x, y))
+        assert kernel(False, True, [2]) == kernel(0, 1, [2])
 
     @pytest.mark.parametrize("query", [(0, 2 + 0j, ()), (0, 1, [2 + 0j])])
     @pytest.mark.parametrize("make", MAKE_ORACLE, ids=MAKE_ORACLE_IDS)
     def test_query_that_raises_is_not_counted(self, make, query):
-        # 2+0j equals vertex 2, so it passes check_query; the kernel's int()
-        # then raises, as does the degenerate branch, which repeats it, and
-        # the query must leave every counter as it was.
+        # 2+0j equals vertex 2, so it passes check_query; the kernel then
+        # rejects it as an index, as does the degenerate branch, which
+        # repeats that check, and the query must leave every counter as it
+        # was.
         o = make()
         o.query(0, 1, ())
         start = o.stats()
@@ -236,7 +281,7 @@ class TestQueryValidation:
     def test_complex_vertex_in_a_large_set_is_not_counted(self, p, s):
         # More than half the vertices, up to every vertex but x and y: a
         # plain set is always encoded from its own elements, whatever its
-        # size, so int(2+0j) raises.
+        # size, so 2+0j meets the bit table and raises.
         o = dsep_oracle(Dag(p, [(0, 2), (2, 1)]))
         o.query(0, 1, [2, 3])
         before = o.stats()
@@ -816,7 +861,7 @@ class TestCholeskyKernel:
     def test_bit_identical_to_list_gather(self):
         # Frozen copy of the earlier gather: a list of Python ints taken
         # twice and dpotrf called with keywords. The kernel must return
-        # the very same float for int, numpy-int and float vertices.
+        # the very same float for int and numpy-int vertices.
         from scipy.linalg.lapack import dpotrf
 
         def list_gather(corr, x, y, s):
@@ -842,13 +887,13 @@ class TestCholeskyKernel:
             for k in range(21):
                 x, y, *s = (int(v) for v in rng.permutation(30)[: k + 2])
                 expected = list_gather(corr, x, y, s)
-                for kind in (int, np.int64, float):
+                for kind in (int, np.int64):
                     got = partial_correlation_from_corr(
                         corr, kind(x), kind(y), [kind(v) for v in s]
                     )
                     assert got == expected, (kind, x, y, s)
                     checked += 1
-        assert checked == 10 * 21 * 3
+        assert checked == 10 * 21 * 2
 
     def test_leaves_corr_untouched(self):
         # the factorization overwrites its input, which must only ever be

@@ -173,6 +173,20 @@ class TestUpdateAfterRemoval:
         assert m == before
         assert o.stats() == start
 
+    @pytest.mark.parametrize(
+        "x, n_x",
+        [(2.0, [1]), (2 + 0j, [1]), (1, [0, 2.0]), (1, [2 + 0j])],
+    )
+    def test_non_integer_vertex_rejected_before_any_change(self, x, n_x):
+        # Each value equals a vertex, so only the integer rule rejects it.
+        o = dsep_oracle(Dag(3, [(0, 1), (1, 2)]))
+        m = total_conditioning(o)
+        before, start = m.copy(), o.stats()
+        with pytest.raises(TypeError):
+            update_after_removal(m, x, n_x, o)
+        assert m == before
+        assert o.stats() == start
+
     def test_copy_independent(self):
         m = MbMap(3)
         m.mb[0] = {1}
@@ -183,11 +197,6 @@ class TestUpdateAfterRemoval:
 
 
 class TestMbMap:
-    def test_alive(self):
-        m = MbMap(4)
-        m.removed = {1, 3}
-        assert m.alive() == [0, 2]
-
     def test_eq(self):
         a, b = MbMap(2), MbMap(2)
         assert a == b
