@@ -10,22 +10,14 @@ run twice yields byte-identical CSV.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .ci import CiOracle, Dataset, dsep_oracle, fisher_z_oracle
-from .graph import Dag, Pdag, _pair
-from .marvel import (
-    LearnResult,
-    _as_pdag,
-    _orient,
-    ci_budget_bound,
-    marvel_learn,
-    run_learner,
-)
-from .mb import MbMap, total_conditioning
+from .graph import Dag, Pdag
+from .marvel import LearnResult, ci_budget_bound, marvel_learn, pc_baseline
+from .mb import total_conditioning
 from .synth import (
     cluster_adversarial_dag,
     erdos_renyi_dag,
@@ -80,48 +72,22 @@ def skeleton_metrics(learned: Pdag, truth: Dag) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def pc_baseline(oracle: CiOracle, mb0: MbMap) -> LearnResult:
-    """PC-style edge removal started from the boundary map's moral graph.
-
-    Conditioning sets of size 0, 1, 2, ... are drawn from the current
-    adjacency of each endpoint (adjacencies shrink as edges fall during the
-    sweep). Separating sets are recorded and drive the collider rule; Meek
-    rules finish the orientation. Vertices are processed in ascending index
-    at every step.
-    """
-    return run_learner(oracle, mb0, _pc_sweep)
-
-
-def _pc_sweep(
-    oracle: CiOracle, mb0: MbMap, warnings: list[str]
-) -> tuple[Pdag, tuple[int, ...]]:
-    p = oracle.p
-    adj: list[set[int]] = [set(mb0.mb[x]) for x in range(p)]
-    sepsets: dict[tuple[int, int], frozenset[int]] = {}
-    level = 0
-    while any(len(adj[x]) - 1 >= level for x in range(p)):
-        for x in range(p):
-            for y in sorted(adj[x]):
-                if y not in adj[x]:
-                    continue
-                s = oracle.search(x, y, adj[x] - {y}, sizes=(level,))
-                if s is not None:
-                    adj[x].discard(y)
-                    adj[y].discard(x)
-                    sepsets[_pair(x, y)] = s
-        level += 1
-
-    heads: dict[tuple[int, int], int] = {}
-    for c in range(p):
-        for a, b in combinations(sorted(adj[c]), 2):
-            key = (a, b)
-            if b in adj[a] or key not in sepsets or c in sepsets[key]:
-                continue
-            # keep-first when noisy answers demand both directions of an edge
-            _orient(heads, a, c, warnings)
-            _orient(heads, b, c, warnings)
-    pairs = [(x, y) for x in range(p) for y in adj[x] if x < y]
-    return _as_pdag(p, pairs, heads), tuple(range(p))
+def run_metrics(mb_tests: int, res: LearnResult, truth: Dag | None) -> dict:
+    """One learner run's metrics in report order, skeleton precision, recall
+    and F1 only given the truth: the CSV row and the learn line use it."""
+    st = res.stats
+    out = {
+        "mb_tests": mb_tests,
+        "post_tests": st.n_tests,
+        "asc": st.asc,
+        "max_cond": st.max_cond_size,
+    }
+    if truth is not None:
+        out["precision"], out["recall"], out["f1"] = skeleton_metrics(
+            res.essential, truth
+        )
+    out["warnings"] = len(res.warnings)
+    return out
 
 
 LEARNERS = {"marvel": marvel_learn, "pc": pc_baseline}
@@ -233,13 +199,6 @@ def generate_dag(
     return cluster_adversarial_dag(p, delta_in)
 
 
-def _build_oracle(cfg: ExperimentConfig, g: Dag, seed: int) -> CiOracle:
-    if cfg.oracle == "dsep":
-        return dsep_oracle(g)
-    data = simulate_dataset(g, cfg.n_samples, seed)
-    return fisher_z_oracle(data, cfg.alpha)
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     """One row per seed plus a final mean row (seed column "mean").
 
@@ -252,11 +211,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     for seed in cfg.seeds:
         try:
             g = generate_dag(cfg.generator, cfg.p, seed, cfg.m, cfg.delta_in)
-            oracle = _build_oracle(cfg, g, seed)
+            if cfg.oracle == "dsep":
+                oracle = dsep_oracle(g)
+            else:
+                data = simulate_dataset(g, cfg.n_samples, seed)
+                oracle = fisher_z_oracle(data, cfg.alpha)
         except ValueError as exc:
             raise ValueError(f"seed {seed}: {exc}") from exc
         mb_tests, res = solve(oracle, cfg.algo)
-        precision, recall, f1 = skeleton_metrics(res.essential, g)
         budget = ci_budget_bound(cfg.p, g.max_in_degree())
         rows.append(
             {
@@ -270,15 +232,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
                 ),
                 "m": g.n_edges,
                 "n_samples": cfg.n_samples if cfg.n_samples else 0,
-                "mb_tests": mb_tests,
-                "post_tests": res.stats.n_tests,
-                "asc": res.stats.asc,
-                "max_cond": res.stats.max_cond_size,
-                "precision": precision,
-                "recall": recall,
-                "f1": f1,
+                **run_metrics(mb_tests, res, g),
                 "wall_ms": res.wall_ms if cfg.record_wall else 0.0,
-                "warnings": len(res.warnings),
                 "budget": budget,
                 "within_budget": int(res.stats.n_tests <= budget),
             }
@@ -287,11 +242,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     for col in CSV_COLUMNS[2:]:
         mean[col] = sum(r[col] for r in rows) / len(rows)
     return rows + [mean]
-
-
-_CONFIG_INT_KEYS = ("p", "m", "delta_in", "n_samples")
-_CONFIG_FLOAT_KEYS = ("alpha",)
-_CONFIG_STR_KEYS = ("generator", "algo", "oracle")
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -310,6 +260,32 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         else:
             seeds.append(int(token))
     return tuple(seeds)
+
+
+def _parse_flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text == "true"
+
+
+# Each config key, an ExperimentConfig field, and the parser of its value.
+_CONFIG_PARSERS = {
+    "generator": str,
+    "p": int,
+    "algo": str,
+    "oracle": str,
+    "seeds": _parse_seeds,
+    "m": int,
+    "delta_in": int,
+    "n_samples": int,
+    "alpha": float,
+    "record_wall": _parse_flag,
+}
+_CONFIG_REQUIRED = tuple(
+    f.name
+    for f in fields(ExperimentConfig)
+    if f.default is MISSING and f.default_factory is MISSING
+)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -332,29 +308,18 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: repeated key {key!r}")
         kv[key] = value.strip()
 
-    fields: dict = {}
+    values: dict = {}
     for key, value in kv.items():
         try:
-            if key in _CONFIG_STR_KEYS:
-                fields[key] = value
-            elif key in _CONFIG_INT_KEYS:
-                fields[key] = int(value)
-            elif key in _CONFIG_FLOAT_KEYS:
-                fields[key] = float(value)
-            elif key == "seeds":
-                fields[key] = _parse_seeds(value)
-            elif key == "record_wall":
-                if value not in ("true", "false"):
-                    raise ValueError("expected true or false")
-                fields[key] = value == "true"
-            else:
+            if key not in _CONFIG_PARSERS:
                 raise ValueError("unknown key")
+            values[key] = _CONFIG_PARSERS[key](value)
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from exc
-    for required in ("generator", "p", "algo", "oracle", "seeds"):
-        if required not in fields:
+    for required in _CONFIG_REQUIRED:
+        if required not in values:
             raise ValueError(f"config is missing {required!r}")
-    return ExperimentConfig(**fields)
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -252,8 +252,7 @@ def partial_correlation_from_corr(corr: np.ndarray, x: int, y: int, s) -> float:
     raises LinAlgError rather than returning a silent junk value. Output is
     clamped to +-(1 - 1e-7) so the Fisher transform stays finite.
     The vertices index ``corr`` as given: a float or complex one raises
-    TypeError, as does a ``np.uint64`` mixed with other integers, which
-    numpy gathers into a float array.
+    TypeError.
     """
     s = check_query(corr.shape[0], x, y, s)
     if not s:
@@ -262,10 +261,13 @@ def partial_correlation_from_corr(corr: np.ndarray, x: int, y: int, s) -> float:
         idx = sorted(s)
         idx.append(x)
         idx.append(y)
-        # One array serves both gathers. take() rejects a float or complex
-        # index array with TypeError rather than truncating it.
-        idx = np.array(idx)
-        sub = corr.take(idx, axis=0).take(idx, axis=1)
+        # One array serves both gathers. Only a non-integer one (a float or
+        # complex vertex, or numpy's float array of a np.uint64 mixed with
+        # other ints) is rebuilt through index(), which rejects the former.
+        gather = np.array(idx)
+        if gather.dtype.kind not in "iu":
+            gather = np.array([index(v) for v in idx])
+        sub = corr.take(gather, axis=0).take(gather, axis=1)
         # sub.T is a Fortran-ordered view, so LAPACK factors the gathered
         # copy in place and never touches corr. Positional arguments in
         # f2py's order: lower=1, clean=0, overwrite_a=1.

@@ -29,8 +29,8 @@ from .bench import (
     load_config,
     rows_to_csv,
     run_experiment,
+    run_metrics,
     simulate_dataset,
-    skeleton_metrics,
     solve,
 )
 from .ci import dsep_oracle, fisher_z_oracle, load_dataset, save_dataset
@@ -120,8 +120,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         oracle = dsep_oracle(truth)
     else:
         truth = None
-        dataset = load_dataset(args.data)
-        oracle = fisher_z_oracle(dataset, args.alpha)
+        oracle = fisher_z_oracle(load_dataset(args.data), args.alpha)
 
     mb_tests, result = solve(oracle, args.algo)
     if args.out:
@@ -129,23 +128,11 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         print(f"wrote {args.out}")
     for line in result.warnings:
         print(f"warning: {line}", file=sys.stderr)
-
-    st = result.stats
-    parts = [
-        f"mb_tests={mb_tests}",
-        f"post_tests={st.n_tests}",
-        f"asc={st.asc:.6g}",
-        f"max_cond={st.max_cond_size}",
-    ]
-    if truth is not None:
-        precision, recall, f1 = skeleton_metrics(result.essential, truth)
-        parts += [
-            f"precision={precision:.6g}",
-            f"recall={recall:.6g}",
-            f"f1={f1:.6g}",
-        ]
-    parts.append(f"warnings={len(result.warnings)}")
-    print(" ".join(parts))
+    metrics = run_metrics(mb_tests, result, truth)
+    print(" ".join(
+        f"{key}={value:.6g}" if isinstance(value, float) else f"{key}={value}"
+        for key, value in metrics.items()
+    ))
     return 0
 
 

@@ -8,7 +8,8 @@ keep one edge record: the set of adjacent pairs, and the head of the first
 collider orientation each pair got. Once every variable is eliminated, each
 pair with no head points at its endpoint eliminated first, the colliders of
 that graph the run actually vouches for are kept, and the Meek rules close
-them into the essential graph.
+them into the essential graph. The PC-style baseline the experiments
+compare against, ``pc_baseline``, fills the same record by edge removal.
 
 All batteries run against the current Markov boundary only, which keeps the
 conditioning sets small; cross-round caches avoid repeating queries whose
@@ -393,3 +394,47 @@ def _eliminate(
     )
     base = pdag_from_skeleton_and_vstructs(p, ghat.skeleton_pairs(), kept)
     return base, tuple(order)
+
+
+def pc_baseline(oracle: CiOracle, mb0: MbMap) -> LearnResult:
+    """PC-style edge removal started from the boundary map's moral graph.
+
+    Conditioning sets of size 0, 1, 2, ... are drawn from the current
+    adjacency of each endpoint (adjacencies shrink as edges fall during the
+    sweep). Separating sets are recorded and drive the collider rule; Meek
+    rules finish the orientation. Vertices are processed in ascending index
+    at every step.
+    """
+    return run_learner(oracle, mb0, _pc_sweep)
+
+
+def _pc_sweep(
+    oracle: CiOracle, mb0: MbMap, warnings: list[str]
+) -> tuple[Pdag, tuple[int, ...]]:
+    p = oracle.p
+    adj: list[set[int]] = [set(mb0.mb[x]) for x in range(p)]
+    sepsets: dict[tuple[int, int], frozenset[int]] = {}
+    level = 0
+    while any(len(adj[x]) - 1 >= level for x in range(p)):
+        for x in range(p):
+            for y in sorted(adj[x]):
+                if y not in adj[x]:
+                    continue
+                s = oracle.search(x, y, adj[x] - {y}, sizes=(level,))
+                if s is not None:
+                    adj[x].discard(y)
+                    adj[y].discard(x)
+                    sepsets[_pair(x, y)] = s
+        level += 1
+
+    heads: dict[tuple[int, int], int] = {}
+    for c in range(p):
+        for a, b in combinations(sorted(adj[c]), 2):
+            key = (a, b)
+            if b in adj[a] or key not in sepsets or c in sepsets[key]:
+                continue
+            # keep-first when noisy answers demand both directions of an edge
+            _orient(heads, a, c, warnings)
+            _orient(heads, b, c, warnings)
+    pairs = [(x, y) for x in range(p) for y in adj[x] if x < y]
+    return _as_pdag(p, pairs, heads), tuple(range(p))

@@ -7,6 +7,7 @@ phase-split accounting contract.
 """
 
 import random
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -217,6 +218,12 @@ class TestParseConfig:
             oracle="fisher_z", seeds=(0, 1, 2, 7), delta_in=3,
             n_samples=1250, alpha=0.0032,
         )
+
+    def test_keys_are_the_config_fields(self):
+        # one parser per ExperimentConfig field, in field order
+        assert list(bench._CONFIG_PARSERS) == [
+            f.name for f in fields(ExperimentConfig)
+        ]
 
     def test_seed_ranges_are_inclusive(self):
         cfg = parse_config(
@@ -443,6 +450,77 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert stdout.startswith(",".join(CSV_COLUMNS))
         assert "\npc,1," in stdout
+
+    @pytest.fixture
+    def generated(self, tmp_path, capsys):
+        truth = tmp_path / "g.edges"
+        data = tmp_path / "d.csv"
+        assert cli.main([
+            "generate", "--generator", "fixed_indegree", "--p", "10",
+            "--delta-in", "3", "--seed", "3", "--out", str(truth),
+            "--data", str(data), "--n-samples", "200",
+        ]) == 0
+        capsys.readouterr()
+        return truth, data
+
+    @pytest.mark.parametrize(
+        "source, flags, line, warnings",
+        [
+            (
+                "graph", [],
+                "mb_tests=45 post_tests=69 asc=0.869565 max_cond=3 "
+                "precision=1 recall=1 f1=1 warnings=0",
+                [],
+            ),
+            (
+                "data", ["--alpha", "0.05"],
+                "mb_tests=45 post_tests=275 asc=1.37455 max_cond=4 warnings=1",
+                ["no removable vertex in round 1; forcing removal of 3"],
+            ),
+            (
+                "data", ["--algo", "pc"],
+                "mb_tests=45 post_tests=132 asc=0.886364 max_cond=2 warnings=4",
+                [
+                    "kept existing orientation 7->0 over 0->7",
+                    "kept existing orientation 9->0 over 0->9",
+                    "kept existing orientation 9->6 over 6->9",
+                    "contradictory orientations forced for edge 4-8; "
+                    "left undirected",
+                ],
+            ),
+        ],
+        ids=["exact_marvel", "fisher_z_marvel", "fisher_z_pc"],
+    )
+    def test_learn_metric_line_and_warnings(
+        self, generated, capsys, source, flags, line, warnings
+    ):
+        path = generated[0] if source == "graph" else generated[1]
+        assert cli.main(["learn", f"--{source}", str(path), *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == line + "\n"
+        assert captured.err == "".join(f"warning: {w}\n" for w in warnings)
+
+    def test_learn_alpha_with_graph_exits_1(self, generated, capsys):
+        assert cli.main(["learn", "--graph", str(generated[0]), "--alpha", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --alpha applies to the fisher_z oracle only\n"
+
+    def test_bench_alpha_flag_equals_config_alpha(self, tmp_path, capsys):
+        cfg = (
+            "generator = erdos_renyi\np = 8\nm = 10\nalgo = marvel\n"
+            "oracle = fisher_z\nn_samples = 100\nseeds = 0..2\n"
+        )
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(cfg)
+        with_alpha = tmp_path / "alpha.cfg"
+        with_alpha.write_text(cfg + "alpha = 0.2\n")
+        assert cli.main(["bench", str(plain), "--alpha", "0.2"]) == 0
+        flag = capsys.readouterr().out
+        assert cli.main(["bench", str(with_alpha)]) == 0
+        assert capsys.readouterr().out == flag
+        assert cli.main(["bench", str(plain)]) == 0
+        assert capsys.readouterr().out != flag
 
     @pytest.mark.parametrize(
         "argv",

@@ -194,6 +194,19 @@ def non_integer_queries(v):
     ]
 
 
+def mixed_uint64_queries():
+    """(query, the same query in Python ints) pairs over vertices 0..2 with
+    one np.uint64 vertex among other integers: as x, as y, inside a plain
+    S, and as the x of its own AllBut."""
+    u = np.uint64
+    return [
+        ((u(0), 2, [1]), (0, 2, [1])),
+        ((0, u(2), [np.int64(1)]), (0, 2, [1])),
+        ((2, 1, [u(0)]), (2, 1, [0])),
+        ((u(1), 0, AllBut(3, u(1), 0)), (1, 0, AllBut(3, 1, 0))),
+    ]
+
+
 class TestQueryValidation:
     @pytest.mark.parametrize("make", MAKE_ORACLE, ids=MAKE_ORACLE_IDS)
     def test_argument_errors_not_counted(self, make):
@@ -256,6 +269,19 @@ class TestQueryValidation:
             own = AllBut(3, kind(x), kind(y))
             assert kernel(kind(x), kind(y), own) == kernel(x, y, AllBut(3, x, y))
         assert kernel(False, True, [2]) == kernel(0, 1, [2])
+
+    @pytest.mark.parametrize("kernel", KERNELS.values(), ids=list(KERNELS))
+    def test_mixed_uint64_vertices_answer_as_ints(self, kernel):
+        # numpy makes a np.uint64 mixed with other integers a float array.
+        for (x, y, s), plain in mixed_uint64_queries():
+            assert kernel(x, y, s) == kernel(*plain)
+
+    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=MAKE_ORACLE_IDS)
+    def test_mixed_uint64_vertices_accepted(self, make):
+        o = make()
+        for (x, y, s), plain in mixed_uint64_queries():
+            assert o.query(x, y, s) == o.query(*plain)
+        assert o.stats().n_tests == 2 * len(mixed_uint64_queries())
 
     @pytest.mark.parametrize("query", [(0, 2 + 0j, ()), (0, 1, [2 + 0j])])
     @pytest.mark.parametrize("make", MAKE_ORACLE, ids=MAKE_ORACLE_IDS)

@@ -9,6 +9,10 @@ the package would bypass the family seam.
 A vertex is an integer: the query path indexes its tables with the vertex
 as given, so a float or complex vertex raises instead of being converted.
 The validator and the kernels on that path never call the builtin ``int``.
+
+No module imports a name it never reads. The harness (``bench.py`` and
+``cli.py``) imports no underscore-prefixed name of another package module:
+the learners' edge record and frame stay private to ``marvel.py``.
 """
 
 import ast
@@ -131,3 +135,86 @@ def test_rule_catches_an_int_call():
         ("", 9),
     ]
     assert {"d_separated", "FisherZOracle._decide"} <= defined_scopes(tree)
+
+
+def unused_imports(tree):
+    """(line, name) of every name a module imports and never reads. A name
+    counts as read when it appears as a bare name anywhere in the module or
+    as a string in its ``__all__``."""
+    exported = {
+        elt.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in ast.walk(node.value)
+        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and name not in exported:
+                    found.append((node.lineno, name))
+    return sorted(found)
+
+
+def private_imports(tree):
+    """(line, name) of every underscore-prefixed name imported from another
+    module of the package, by a relative or a ``marvel.`` import."""
+    return [
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "marvel")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for line, name in unused_imports(tree)]
+    assert found == []
+
+
+def test_rule_catches_an_unused_import():
+    code = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .graph import Dag, Pdag\n"
+        "from .ci import dsep_oracle\n"
+        "__all__ = ['dsep_oracle']\n"
+        "def f(g: Dag):\n"
+        "    return np.zeros(g.p)\n"
+    )
+    assert unused_imports(ast.parse(code)) == [(2, "os"), (4, "Pdag")]
+
+
+def test_harness_imports_no_private_name():
+    found = []
+    for name in ("bench.py", "cli.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        found += [f"{name}:{line} {alias}" for line, alias in private_imports(tree)]
+    assert found == []
+
+
+def test_rule_catches_a_private_import():
+    code = (
+        "from .graph import Dag, _pair\n"
+        "from marvel.marvel import _orient as orient\n"
+        "from . import _hidden\n"
+        "from dataclasses import _MISSING_TYPE\n"
+        "from .ci import dsep_oracle\n"
+    )
+    assert private_imports(ast.parse(code)) == [
+        (1, "_pair"),
+        (2, "_orient"),
+        (3, "_hidden"),
+    ]

@@ -1,0 +1,107 @@
+"""The exact message of each input check on the graph, boundary-map and
+dataset constructors and helpers.
+
+One row per raise: the call, and the whole ``ValueError`` text it must give.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from marvel.ci import Dataset, dsep_oracle
+from marvel.graph import (
+    Dag,
+    Pdag,
+    apply_meek_rules,
+    descendants,
+    is_removable_graphical,
+    markov_boundary_graphical,
+    parse_dag,
+    parse_pdag,
+    pdag_from_skeleton_and_vstructs,
+)
+from marvel.mb import MbMap, update_after_removal
+
+CHAIN = Dag(3, [(0, 1), (1, 2)])
+
+
+def removal(x, n_x):
+    m = MbMap(3)
+    m.mb = [{1}, {0, 2}, {1}]
+    return lambda: update_after_removal(m, x, n_x, dsep_oracle(CHAIN))
+
+
+CASES = {
+    "dag_negative_p": (lambda: Dag(-1), "vertex count must be nonnegative"),
+    "pdag_negative_p": (lambda: Pdag(-1), "vertex count must be nonnegative"),
+    "pdag_directed_out_of_range": (
+        lambda: Pdag(3, directed=[(0, 3)]),
+        "edge (0, 3) out of range for p=3",
+    ),
+    "pdag_directed_self_loop": (
+        lambda: Pdag(3, directed=[(1, 1)]),
+        "self-loop at vertex 1",
+    ),
+    "pdag_undirected_out_of_range": (
+        lambda: Pdag(3, undirected=[(-1, 2)]),
+        "edge (-1, 2) out of range for p=3",
+    ),
+    "pdag_undirected_self_loop": (
+        lambda: Pdag(3, undirected=[(2, 2)]),
+        "self-loop at vertex 2",
+    ),
+    "induced_subgraph_out_of_range": (
+        lambda: CHAIN.induced_subgraph([0, 3]),
+        "induced vertex out of range",
+    ),
+    "descendants_out_of_range": (
+        lambda: descendants(CHAIN, 3),
+        "vertex 3 out of range for p=3",
+    ),
+    "is_removable_graphical_out_of_range": (
+        lambda: is_removable_graphical(CHAIN, -1),
+        "vertex -1 out of range for p=3",
+    ),
+    "markov_boundary_graphical_out_of_range": (
+        lambda: markov_boundary_graphical(CHAIN, 5),
+        "vertex 5 out of range for p=3",
+    ),
+    "meek_on_conflict": (
+        lambda: apply_meek_rules(Pdag(3), on_conflict="x"),
+        "on_conflict must be 'raise' or 'drop'",
+    ),
+    "collider_edge_missing": (
+        lambda: pdag_from_skeleton_and_vstructs(3, [(0, 2)], [(0, 2, 1)]),
+        "collider edge missing from skeleton",
+    ),
+    "parse_dag_empty": (lambda: parse_dag("# nothing\n"), "missing vertex count"),
+    "parse_dag_header": (
+        lambda: parse_dag("3 1\n0 1\n"),
+        "first data row must hold the vertex count alone",
+    ),
+    "parse_pdag_empty": (lambda: parse_pdag(""), "missing vertex count"),
+    "parse_pdag_header": (
+        lambda: parse_pdag("3 0 1\n"),
+        "first data row must hold the vertex count alone",
+    ),
+    "mbmap_negative_p": (lambda: MbMap(-1), "vertex count must be nonnegative"),
+    "removal_x_out_of_range": (
+        removal(3, [1]),
+        "vertex 3 out of range for p=3",
+    ),
+    "removal_self_neighbor": (
+        removal(1, [0, 1]),
+        "a vertex cannot neighbor itself",
+    ),
+    "dataset_1d": (
+        lambda: Dataset(np.arange(5.0)),
+        "dataset must be a 2-d matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", CASES.values(), ids=list(CASES))
+def test_value_error_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
