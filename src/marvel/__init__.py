@@ -32,17 +32,11 @@ from .graph import (
     GraphConsistencyError,
     Pdag,
     apply_meek_rules,
-    cpdag_bruteforce,
     d_separated,
-    d_separated_bruteforce,
-    descendants,
-    is_removable_graphical,
     kernel_name,
     load_dag,
     load_pdag,
-    markov_boundary_graphical,
     markov_equivalent,
-    moralized_graph,
     pdag_from_skeleton_and_vstructs,
     save_dag,
     save_pdag,
@@ -62,7 +56,6 @@ from .synth import (
     cluster_adversarial_dag,
     erdos_renyi_dag,
     fixed_indegree_dag,
-    population_covariance,
     random_scm,
     sample,
 )
@@ -83,31 +76,24 @@ __all__ = [
     "apply_meek_rules",
     "ci_budget_bound",
     "cluster_adversarial_dag",
-    "cpdag_bruteforce",
     "d_separated",
-    "d_separated_bruteforce",
     "default_alpha",
-    "descendants",
     "dsep_oracle",
     "erdos_renyi_dag",
     "fisher_z_oracle",
     "fixed_indegree_dag",
     "is_removable_ci",
-    "is_removable_graphical",
     "kernel_name",
     "load_config",
     "load_dag",
     "load_dataset",
     "load_pdag",
-    "markov_boundary_graphical",
     "markov_equivalent",
     "marvel_learn",
-    "moralized_graph",
     "parse_config",
     "partial_correlation_from_corr",
     "pc_baseline",
     "pdag_from_skeleton_and_vstructs",
-    "population_covariance",
     "random_scm",
     "rows_to_csv",
     "run_experiment",

@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .ci import CiOracle, Dataset, dsep_oracle, fisher_z_oracle
+from .ci import CiOracle, Dataset, default_alpha, dsep_oracle, fisher_z_oracle
 from .graph import Dag, Pdag
 from .marvel import LearnResult, ci_budget_bound, marvel_learn, pc_baseline
 from .mb import total_conditioning
@@ -139,8 +139,16 @@ class ExperimentConfig:
         if self.p < 1:
             raise ValueError("p must be positive")
         if self.oracle == "fisher_z":
+            # Checked here so that no seed's graph or data is made first.
             if self.n_samples is None:
                 raise ValueError("fisher_z needs n_samples")
+            if self.n_samples < 2:
+                raise ValueError(
+                    "need at least two samples for a correlation matrix"
+                )
+            alpha = default_alpha(self.p) if self.alpha is None else self.alpha
+            if not 0.0 < alpha < 1.0:
+                raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         else:
             if self.n_samples is not None:
                 raise ValueError("dsep runs take no n_samples")

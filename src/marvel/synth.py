@@ -118,15 +118,3 @@ def sample(spec: ScmSpec, n: int, seed: RngSeed) -> Dataset:
         for u in sorted(spec.dag.parents[v]):
             values[:, v] += spec.coeffs[(u, v)] * values[:, u]
     return Dataset(values)
-
-
-def population_covariance(spec: ScmSpec) -> np.ndarray:
-    """Exact covariance of the model: (I - A)^-1 D (I - A)^-T with A the
-    weighted adjacency acting parents -> children and D the noise variances."""
-    p = spec.dag.p
-    a = np.zeros((p, p))
-    for (u, v), c in spec.coeffs.items():
-        a[v, u] = c
-    inv = np.linalg.inv(np.eye(p) - a)
-    d = np.diag(np.square(spec.noise_sd))
-    return inv @ d @ inv.T

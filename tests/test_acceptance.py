@@ -12,13 +12,15 @@ import random
 import numpy as np
 
 from conftest import random_dag
+from reference import (
+    cpdag_bruteforce,
+    is_removable_graphical,
+    markov_boundary_graphical,
+)
 from marvel.bench import ExperimentConfig, run_experiment
 from marvel.ci import Dataset, dsep_oracle, fisher_z_oracle
 from marvel.graph import (
     apply_meek_rules,
-    cpdag_bruteforce,
-    is_removable_graphical,
-    markov_boundary_graphical,
     pdag_from_skeleton_and_vstructs,
     skeleton,
     v_structures,

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dag
+from reference import cpdag_bruteforce
 from marvel import bench, cli
 from marvel.bench import (
     CSV_COLUMNS,
@@ -28,7 +29,7 @@ from marvel.bench import (
     solve,
 )
 from marvel.ci import CiOracle, Dataset, dsep_oracle, fisher_z_oracle, load_dataset
-from marvel.graph import Dag, Pdag, cpdag_bruteforce, load_dag, load_pdag
+from marvel.graph import Dag, Pdag, load_dag, load_pdag
 from marvel.marvel import ci_budget_bound, marvel_learn
 from marvel.mb import MbMap, total_conditioning
 
@@ -599,6 +600,37 @@ class TestCli:
         )
         assert cli.main(["bench", str(cfg)]) == 1
         assert "seed 0: need 0 <=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, flags, message",
+        [
+            (
+                "n_samples = -5\n", [],
+                "need at least two samples for a correlation matrix",
+            ),
+            (
+                "n_samples = 50\nalpha = 2\n", [],
+                "alpha must be in (0, 1), got 2.0",
+            ),
+            (
+                "n_samples = 50\n", ["--alpha", "2"],
+                "alpha must be in (0, 1), got 2.0",
+            ),
+        ],
+        ids=["n_samples", "alpha", "alpha_flag"],
+    )
+    def test_bench_config_error_blames_no_seed(
+        self, extra, flags, message, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "generator = fixed_indegree\np = 5\ndelta_in = 2\nalgo = marvel\n"
+            f"oracle = fisher_z\nseeds = 3..5\n{extra}"
+        )
+        assert cli.main(["bench", str(cfg), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_oracle_flag_is_unknown(self, tmp_path, capsys):
         # the oracle follows from --graph or --data, so there is no flag

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import random_dag, random_query
+from reference import d_separated_bruteforce, markov_boundary_graphical
 from marvel import ci, graph
 from marvel.ci import (
     CiStats,
@@ -32,14 +33,7 @@ from marvel.ci import (
     partial_correlation_from_corr,
     save_dataset,
 )
-from marvel.graph import (
-    AllBut,
-    Dag,
-    Pdag,
-    d_separated,
-    d_separated_bruteforce,
-    markov_boundary_graphical,
-)
+from marvel.graph import AllBut, Dag, Pdag, d_separated
 from marvel.marvel import marvel_learn
 from marvel.mb import total_conditioning
 from marvel.synth import fixed_indegree_dag, random_scm, sample

@@ -16,6 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dag, random_query
+from reference import (
+    cpdag_bruteforce,
+    d_separated_bruteforce,
+    descendants,
+    is_removable_graphical,
+    markov_boundary_graphical,
+    moralized_graph,
+)
 from marvel.graph import (
     AllBut,
     Dag,
@@ -23,16 +31,10 @@ from marvel.graph import (
     Pdag,
     apply_meek_rules,
     check_query,
-    cpdag_bruteforce,
     d_separated,
-    d_separated_bruteforce,
-    descendants,
     format_dag,
     format_pdag,
-    is_removable_graphical,
-    markov_boundary_graphical,
     markov_equivalent,
-    moralized_graph,
     parse_dag,
     parse_pdag,
     pdag_from_skeleton_and_vstructs,

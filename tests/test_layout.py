@@ -10,15 +10,27 @@ A vertex is an integer: the query path indexes its tables with the vertex
 as given, so a float or complex vertex raises instead of being converted.
 The validator and the kernels on that path never call the builtin ``int``.
 
-No module imports a name it never reads. The harness (``bench.py`` and
-``cli.py``) imports no underscore-prefixed name of another package module:
-the learners' edge record and frame stay private to ``marvel.py``.
+No module imports a name it never reads, and neither does the test suite's
+``reference.py``. The harness (``bench.py`` and ``cli.py``) imports no
+underscore-prefixed name of another package module: the learners' edge
+record and frame stay private to ``marvel.py``.
+
+The package holds only what a learner run, the command line or the
+benchmark needs: every module-level function or class of a package module
+is referenced, outside its own definition, by a package module other than
+``__init__.py`` or by a ``perfbench`` script. An export in ``__init__.py``
+alone does not count, so a routine only the tests call, such as a
+brute-force reference, belongs in ``tests/reference.py``.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "marvel"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "marvel"
+PERFBENCH = ROOT / "perfbench"
+REFERENCE = Path(__file__).with_name("reference.py")
+DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 ALLOWED_SCOPES = {("ci.py", "CiOracle.search")}
 ALLOWED_FILES = {"mb.py"}
 NO_INT_SCOPES = {
@@ -177,7 +189,7 @@ def private_imports(tree):
 
 def test_no_module_imports_a_name_it_never_uses():
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in [*sorted(SRC.glob("*.py")), REFERENCE]:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line} {name}" for line, name in unused_imports(tree)]
     assert found == []
@@ -217,4 +229,76 @@ def test_rule_catches_a_private_import():
         (1, "_pair"),
         (2, "_orient"),
         (3, "_hidden"),
+    ]
+
+
+def references(tree):
+    """Every name the module refers to as a bare name, an attribute or an
+    imported name, leaving out each module-level definition's references to
+    itself."""
+    found = set()
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, DEFINITIONS) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def unreferenced_definitions(package, others):
+    """(module, name) of every module-level function or class of a package
+    module other than ``__init__.py`` that no such module and none of the
+    ``others`` trees references; ``package`` maps a file name to its tree."""
+    modules = {name: tree for name, tree in package.items() if name != "__init__.py"}
+    used = set().union(*map(references, [*modules.values(), *others]))
+    return [
+        (name, stmt.name)
+        for name, tree in sorted(modules.items())
+        for stmt in tree.body
+        if isinstance(stmt, DEFINITIONS) and stmt.name not in used
+    ]
+
+
+def test_every_definition_serves_a_run():
+    def parse(path):
+        return ast.parse(path.read_text(), filename=str(path))
+
+    package = {path.name: parse(path) for path in SRC.glob("*.py")}
+    others = [parse(path) for path in PERFBENCH.glob("*.py")]
+    assert unreferenced_definitions(package, others) == []
+
+
+def test_rule_catches_an_unreferenced_definition():
+    package = {
+        "__init__.py": "from .graph import exported\n__all__ = ['exported']\n",
+        "graph.py": (
+            "def orphan():\n"
+            "    pass\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else 0\n"
+            "def exported():\n"
+            "    pass\n"
+            "class Shared:\n"
+            "    pass\n"
+            "def timed():\n"
+            "    pass\n"
+        ),
+        "mb.py": "from .graph import Shared\n",
+    }
+    others = ["from marvel import graph\ngraph.timed()\n"]
+    assert unreferenced_definitions(
+        {name: ast.parse(code) for name, code in package.items()},
+        [ast.parse(code) for code in others],
+    ) == [
+        ("graph.py", "orphan"),
+        ("graph.py", "recursive"),
+        ("graph.py", "exported"),
     ]

@@ -15,15 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dag
-from marvel import marvel as marvel_module
-from marvel.bench import pc_baseline, simulate_dataset, solve
-from marvel.ci import CiStats, dsep_oracle, fisher_z_oracle
-from marvel.graph import (
-    Dag,
+from reference import (
     cpdag_bruteforce,
     is_removable_graphical,
     markov_boundary_graphical,
 )
+from marvel import marvel as marvel_module
+from marvel.bench import pc_baseline, simulate_dataset, solve
+from marvel.ci import CiStats, dsep_oracle, fisher_z_oracle
+from marvel.graph import Dag
 from marvel.marvel import (
     MarvelCaches,
     check_condition1,

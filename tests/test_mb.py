@@ -11,12 +11,9 @@ from itertools import combinations
 import pytest
 
 from conftest import random_dag
+from reference import is_removable_graphical, markov_boundary_graphical
 from marvel.ci import dsep_oracle
-from marvel.graph import (
-    Dag,
-    is_removable_graphical,
-    markov_boundary_graphical,
-)
+from marvel.graph import Dag
 from marvel.mb import MbMap, total_conditioning, update_after_removal
 from marvel.synth import fixed_indegree_dag
 

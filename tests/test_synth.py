@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import population_covariance
 from marvel.bench import simulate_dataset
 from marvel.graph import Dag
 from marvel.synth import (
@@ -18,7 +19,6 @@ from marvel.synth import (
     cluster_adversarial_dag,
     erdos_renyi_dag,
     fixed_indegree_dag,
-    population_covariance,
     random_scm,
     sample,
 )

@@ -1,5 +1,5 @@
-"""The exact message of each input check on the graph, boundary-map and
-dataset constructors and helpers.
+"""The exact message of each input check on the graph, boundary-map,
+dataset and experiment-config constructors and helpers.
 
 One row per raise: the call, and the whole ``ValueError`` text it must give.
 """
@@ -9,14 +9,17 @@ import re
 import numpy as np
 import pytest
 
+from reference import (
+    descendants,
+    is_removable_graphical,
+    markov_boundary_graphical,
+)
+from marvel.bench import ExperimentConfig
 from marvel.ci import Dataset, dsep_oracle
 from marvel.graph import (
     Dag,
     Pdag,
     apply_meek_rules,
-    descendants,
-    is_removable_graphical,
-    markov_boundary_graphical,
     parse_dag,
     parse_pdag,
     pdag_from_skeleton_and_vstructs,
@@ -24,6 +27,14 @@ from marvel.graph import (
 from marvel.mb import MbMap, update_after_removal
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
+
+
+def fisher_z_config(**fields):
+    base = dict(
+        generator="fixed_indegree", p=5, algo="marvel", oracle="fisher_z",
+        seeds=(0,), delta_in=2, n_samples=50,
+    )
+    return lambda: ExperimentConfig(**{**base, **fields})
 
 
 def removal(x, n_x):
@@ -97,6 +108,18 @@ CASES = {
     "dataset_1d": (
         lambda: Dataset(np.arange(5.0)),
         "dataset must be a 2-d matrix",
+    ),
+    "config_too_few_samples": (
+        fisher_z_config(n_samples=-5),
+        "need at least two samples for a correlation matrix",
+    ),
+    "config_alpha_out_of_range": (
+        fisher_z_config(alpha=2.0),
+        "alpha must be in (0, 1), got 2.0",
+    ),
+    "config_default_alpha_one_vertex": (
+        fisher_z_config(p=1, delta_in=0),
+        "alpha default needs p >= 2",
     ),
 }
 
