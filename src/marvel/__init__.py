@@ -29,7 +29,6 @@ from .ci import (
 )
 from .graph import (
     Dag,
-    GraphConsistencyError,
     Pdag,
     apply_meek_rules,
     d_separated,
@@ -68,7 +67,6 @@ __all__ = [
     "DsepOracle",
     "ExperimentConfig",
     "FisherZOracle",
-    "GraphConsistencyError",
     "LearnResult",
     "MbMap",
     "Pdag",

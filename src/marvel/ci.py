@@ -10,6 +10,7 @@ given the conditioning set.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import atanh, sqrt
@@ -203,7 +204,10 @@ class Dataset:
 
 def load_dataset(path) -> Dataset:
     """Read a headerless numeric CSV with one row per sample."""
-    values = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        # An empty file fails Dataset's row check; numpy's warning adds nothing.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        values = np.loadtxt(path, delimiter=",", ndmin=2)
     return Dataset(values)
 
 

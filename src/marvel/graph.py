@@ -17,10 +17,6 @@ from itertools import combinations
 from typing import Iterable, Iterator, Union
 
 
-class GraphConsistencyError(ValueError):
-    """Orientation rules forced both directions of the same edge."""
-
-
 def kernel_name() -> str:
     """Name of the d-separation kernel: ``d_separated``, in pure Python."""
     return "pure-python"
@@ -28,6 +24,13 @@ def kernel_name() -> str:
 
 def _pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
+
+
+def _check_edge(p: int, i: int, j: int) -> None:
+    if not (0 <= i < p and 0 <= j < p):
+        raise ValueError(f"edge ({i}, {j}) out of range for p={p}")
+    if i == j:
+        raise ValueError(f"self-loop at vertex {i}")
 
 
 class Dag:
@@ -49,10 +52,7 @@ class Dag:
         parents: list[set[int]] = [set() for _ in range(p)]
         children: list[set[int]] = [set() for _ in range(p)]
         for i, j in edges:
-            if not (0 <= i < p and 0 <= j < p):
-                raise ValueError(f"edge ({i}, {j}) out of range for p={p}")
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
+            _check_edge(p, i, j)
             parents[j].add(i)
             children[i].add(j)
         self.p = p
@@ -170,19 +170,13 @@ class Pdag:
             raise ValueError("vertex count must be nonnegative")
         dset = set()
         for i, j in directed:
-            if not (0 <= i < p and 0 <= j < p):
-                raise ValueError(f"edge ({i}, {j}) out of range for p={p}")
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
+            _check_edge(p, i, j)
             if (j, i) in dset:
                 raise ValueError(f"both orientations of ({i}, {j}) present")
             dset.add((i, j))
         uset = set()
         for i, j in undirected:
-            if not (0 <= i < p and 0 <= j < p):
-                raise ValueError(f"edge ({i}, {j}) out of range for p={p}")
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
+            _check_edge(p, i, j)
             uset.add(_pair(i, j))
         for i, j in dset:
             if _pair(i, j) in uset:
@@ -193,13 +187,6 @@ class Pdag:
 
     def skeleton_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(_pair(i, j) for i, j in self.directed) | self.undirected
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return (
-            _pair(i, j) in self.undirected
-            or (i, j) in self.directed
-            or (j, i) in self.directed
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pdag):
@@ -404,22 +391,17 @@ def v_structures(g: AnyGraph) -> frozenset[tuple[int, int, int]]:
 
     For a Pdag only fully directed edge pairs count.
     """
-    out = set()
-    if isinstance(g, Dag):
-        for c in range(g.p):
-            for a, b in combinations(sorted(g.parents[c]), 2):
-                if a not in g.neighbors(b):
-                    out.add((a, c, b))
-    else:
-        # Every vertex's directed parents from one pass over the edges.
-        parents: list[list[int]] = [[] for _ in range(g.p)]
-        for a, c in g.directed:
-            parents[c].append(a)
-        for c, pa in enumerate(parents):
-            for a, b in combinations(sorted(pa), 2):
-                if not g.adjacent(a, b):
-                    out.add((a, c, b))
-    return frozenset(out)
+    # Every vertex's directed parents from one pass over the edges.
+    parents: list[list[int]] = [[] for _ in range(g.p)]
+    for a, c in g.edges() if isinstance(g, Dag) else g.directed:
+        parents[c].append(a)
+    adjacent = g.skeleton_pairs()
+    return frozenset(
+        (a, c, b)
+        for c, pa in enumerate(parents)
+        for a, b in combinations(sorted(pa), 2)
+        if (a, b) not in adjacent
+    )
 
 
 def _meek_forced(
@@ -429,10 +411,7 @@ def _meek_forced(
 ) -> set[tuple[int, int]]:
     """Orientations forced by one synchronized sweep of rules R1-R4."""
     adj: list[set[int]] = [set() for _ in range(p)]
-    for i, j in directed:
-        adj[i].add(j)
-        adj[j].add(i)
-    for i, j in undirected:
+    for i, j in directed | undirected:
         adj[i].add(j)
         adj[j].add(i)
     into: list[set[int]] = [set() for _ in range(p)]
@@ -473,23 +452,17 @@ def _meek_forced(
     return forced
 
 
-def apply_meek_rules(
-    pd: Pdag,
-    on_conflict: str = "raise",
-    warnings: list[str] | None = None,
-) -> Pdag:
+def apply_meek_rules(pd: Pdag, warnings: list[str] | None = None) -> Pdag:
     """Close a PDAG under Meek rules R1-R4.
 
     Rules are evaluated in synchronized sweeps against the frozen current
     graph until no rule fires; adjacencies never change. A sweep can force
     both orientations of an edge only when the input encodes contradictory
-    evidence (never from a consistent skeleton-plus-colliders start). With
-    on_conflict="raise" that raises a GraphConsistencyError; with "drop" the
+    evidence, as a statistical oracle's answers can; a consistent
+    skeleton-plus-colliders start never does. There is one policy: such an
     edge is left undirected for good, a note is appended to ``warnings`` if
-    given, and propagation continues.
+    given, and propagation continues. Nothing is raised.
     """
-    if on_conflict not in ("raise", "drop"):
-        raise ValueError("on_conflict must be 'raise' or 'drop'")
     directed = set(pd.directed)
     undirected = set(pd.undirected)
     dropped: set[tuple[int, int]] = set()
@@ -497,11 +470,6 @@ def apply_meek_rules(
         forced = _meek_forced(pd.p, directed, undirected)
         forced = {e for e in forced if _pair(*e) not in dropped}
         conflicted = {e for e in forced if (e[1], e[0]) in forced}
-        if conflicted and on_conflict == "raise":
-            u, v = min(conflicted)
-            raise GraphConsistencyError(
-                f"rules force both orientations of edge ({u}, {v})"
-            )
         for u, v in sorted(conflicted):
             if u < v:
                 dropped.add((u, v))
@@ -551,14 +519,9 @@ def parse_dag(text: str) -> Dag:
 
     '#' starts a comment; blank lines are skipped.
     """
-    rows = _data_rows(text)
-    if not rows:
-        raise ValueError("missing vertex count")
-    if len(rows[0]) != 1:
-        raise ValueError("first data row must hold the vertex count alone")
-    p = int(rows[0][0])
+    p, rows = _data_rows(text)
     edges = []
-    for row in rows[1:]:
+    for row in rows:
         if len(row) != 2:
             raise ValueError(f"bad edge row: {row!r}")
         edges.append((int(row[0]), int(row[1])))
@@ -573,15 +536,10 @@ def format_dag(g: Dag) -> str:
 
 def parse_pdag(text: str) -> Pdag:
     """Read the PDAG format: rows 'i j d' (directed) or 'i j u' (undirected)."""
-    rows = _data_rows(text)
-    if not rows:
-        raise ValueError("missing vertex count")
-    if len(rows[0]) != 1:
-        raise ValueError("first data row must hold the vertex count alone")
-    p = int(rows[0][0])
+    p, rows = _data_rows(text)
     directed = []
     undirected = []
-    for row in rows[1:]:
+    for row in rows:
         if len(row) != 3 or row[2] not in ("d", "u"):
             raise ValueError(f"bad edge row: {row!r}")
         i, j = int(row[0]), int(row[1])
@@ -616,10 +574,15 @@ def save_pdag(pd: Pdag, path) -> None:
         fh.write(format_pdag(pd))
 
 
-def _data_rows(text: str) -> list[list[str]]:
+def _data_rows(text: str) -> tuple[int, list[list[str]]]:
+    """The vertex count of the first data row and the split rows after it."""
     rows = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             rows.append(line.split())
-    return rows
+    if not rows:
+        raise ValueError("missing vertex count")
+    if len(rows[0]) != 1:
+        raise ValueError("first data row must hold the vertex count alone")
+    return int(rows[0][0]), rows[1:]

@@ -299,7 +299,7 @@ def run_learner(
     before = oracle.stats()
 
     base, order = recover(oracle, mb0, warnings)
-    essential = apply_meek_rules(base, on_conflict="drop", warnings=warnings)
+    essential = apply_meek_rules(base, warnings)
 
     post = oracle.stats() - before
     if oracle.n_degenerate:
@@ -418,8 +418,6 @@ def _pc_sweep(
     while any(len(adj[x]) - 1 >= level for x in range(p)):
         for x in range(p):
             for y in sorted(adj[x]):
-                if y not in adj[x]:
-                    continue
                 s = oracle.search(x, y, adj[x] - {y}, sizes=(level,))
                 if s is not None:
                     adj[x].discard(y)

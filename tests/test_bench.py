@@ -6,7 +6,10 @@ Experiment runs are checked for byte-level CSV determinism and for the
 phase-split accounting contract.
 """
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields
 from itertools import combinations
 
@@ -232,6 +235,13 @@ class TestParseConfig:
             "oracle = dsep\nseeds = 5..8\n"
         )
         assert cfg.seeds == (5, 6, 7, 8)
+
+    def test_empty_seed_tokens_are_skipped(self):
+        cfg = parse_config(
+            "generator = erdos_renyi\np = 4\nm = 2\nalgo = pc\n"
+            "oracle = dsep\nseeds = 0,,2,\n"
+        )
+        assert cfg.seeds == (0, 2)
 
     @pytest.mark.parametrize(
         "text",
@@ -631,6 +641,34 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_bench_seeds_of_empty_tokens_only_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "generator = erdos_renyi\np = 4\nm = 2\nalgo = pc\n"
+            "oracle = dsep\nseeds = ,\n"
+        )
+        assert cli.main(["bench", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need at least one seed\n"
+
+    @pytest.mark.parametrize(
+        "text", ["", "# a comment and a blank line\n\n"], ids=["empty", "comments"]
+    )
+    def test_learn_on_a_dataset_without_rows(self, text, tmp_path):
+        # A fresh interpreter, since pytest would capture a numpy warning
+        # that the command line prints to stderr.
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "marvel.cli", "learn", "--data", str(data)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: dataset needs at least two rows\n"
+        )
 
     def test_oracle_flag_is_unknown(self, tmp_path, capsys):
         # the oracle follows from --graph or --data, so there is no flag

@@ -27,7 +27,6 @@ from reference import (
 from marvel.graph import (
     AllBut,
     Dag,
-    GraphConsistencyError,
     Pdag,
     apply_meek_rules,
     check_query,
@@ -556,6 +555,12 @@ class TestMoralSkeletonVStructs:
             )
             assert v_structures(pd) == expected
 
+    def test_v_structures_dag_matches_its_directed_pdag(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            g = random_dag(rng, rng.randint(1, 9))
+            assert v_structures(g) == v_structures(Pdag(g.p, directed=g.edges()))
+
 
 class TestPdag:
     def test_rejects_conflicting_edge(self):
@@ -569,8 +574,8 @@ class TestPdag:
         assert pd.undirected == frozenset({(0, 2)})
 
     def test_adjacency(self):
-        pd = Pdag(3, directed=[(0, 1)], undirected=[(1, 2)])
-        assert pd.adjacent(1, 0) and pd.adjacent(2, 1) and not pd.adjacent(0, 2)
+        pd = Pdag(3, directed=[(1, 0)], undirected=[(2, 1)])
+        assert pd.skeleton_pairs() == frozenset({(0, 1), (1, 2)})
 
 
 class TestMeekRules:
@@ -640,8 +645,30 @@ class TestMeekRules:
         # 0 -> 1 - 2 <- 3 with 0, 2 and 1, 3 nonadjacent: R1 forces the
         # middle edge both ways, which only an inconsistent input can do
         pd = Pdag(4, directed=[(0, 1), (3, 2)], undirected=[(1, 2)])
-        with pytest.raises(GraphConsistencyError):
-            apply_meek_rules(pd)
+        warnings = []
+        assert apply_meek_rules(pd, warnings) == pd
+        assert warnings == [
+            "contradictory orientations forced for edge 1-2; left undirected"
+        ]
+
+    def test_conflict_does_not_stop_propagation(self):
+        # the same conflict, with 1 - 4 - 5 beside it: R1 orients 1 -> 4 in
+        # the sweep that drops 1 - 2, and 4 -> 5 in the sweep after it
+        pd = Pdag(
+            6,
+            directed=[(0, 1), (3, 2)],
+            undirected=[(1, 2), (1, 4), (4, 5)],
+        )
+        warnings = []
+        out = apply_meek_rules(pd, warnings)
+        assert out == Pdag(
+            6,
+            directed=[(0, 1), (3, 2), (1, 4), (4, 5)],
+            undirected=[(1, 2)],
+        )
+        assert warnings == [
+            "contradictory orientations forced for edge 1-2; left undirected"
+        ]
 
     def test_completes_to_cpdag(self):
         # the Meek closure of skeleton + v-structures is the essential graph

@@ -21,9 +21,15 @@ is referenced, outside its own definition, by a package module other than
 ``__init__.py`` or by a ``perfbench`` script. An export in ``__init__.py``
 alone does not count, so a routine only the tests call, such as a
 brute-force reference, belongs in ``tests/reference.py``.
+
+No package module defines an exception class. Bad input raises the
+builtin ``ValueError`` or ``TypeError``, which the command line maps to
+exit 1, and a contradiction in a statistical oracle's answers becomes a
+warning, not an exception.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -301,4 +307,58 @@ def test_rule_catches_an_unreferenced_definition():
         ("graph.py", "orphan"),
         ("graph.py", "recursive"),
         ("graph.py", "exported"),
+    ]
+
+
+def exception_classes(tree):
+    """(line, name) of every class in the tree with a builtin exception
+    among its bases, by name or as ``builtins.<name>``, or an exception
+    class of the same tree defined before it."""
+    own = set()
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for base in node.bases:
+            name = getattr(base, "id", None) or getattr(base, "attr", None)
+            builtin = getattr(builtins, name or "", None)
+            if name in own or (
+                isinstance(builtin, type) and issubclass(builtin, BaseException)
+            ):
+                own.add(node.name)
+                found.append((node.lineno, node.name))
+                break
+    return found
+
+
+def test_no_module_defines_an_exception():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for line, name in exception_classes(tree)]
+    assert found == []
+
+
+def test_rule_catches_an_exception_class():
+    code = (
+        "import builtins\n"
+        "class GraphError(ValueError):\n"
+        "    pass\n"
+        "class CycleError(GraphError):\n"
+        "    pass\n"
+        "class Dag:\n"
+        "    pass\n"
+        "class Frozen(Dag, builtins.RuntimeError):\n"
+        "    pass\n"
+        "def f():\n"
+        "    class Stop(Exception):\n"
+        "        pass\n"
+        "class Wrapper(Dag):\n"
+        "    pass\n"
+    )
+    assert exception_classes(ast.parse(code)) == [
+        (2, "GraphError"),
+        (4, "CycleError"),
+        (8, "Frozen"),
+        (11, "Stop"),
     ]

@@ -14,12 +14,11 @@ from reference import (
     is_removable_graphical,
     markov_boundary_graphical,
 )
-from marvel.bench import ExperimentConfig
+from marvel.bench import ExperimentConfig, parse_config
 from marvel.ci import Dataset, dsep_oracle
 from marvel.graph import (
     Dag,
     Pdag,
-    apply_meek_rules,
     parse_dag,
     parse_pdag,
     pdag_from_skeleton_and_vstructs,
@@ -78,10 +77,6 @@ CASES = {
         lambda: markov_boundary_graphical(CHAIN, 5),
         "vertex 5 out of range for p=3",
     ),
-    "meek_on_conflict": (
-        lambda: apply_meek_rules(Pdag(3), on_conflict="x"),
-        "on_conflict must be 'raise' or 'drop'",
-    ),
     "collider_edge_missing": (
         lambda: pdag_from_skeleton_and_vstructs(3, [(0, 2)], [(0, 2, 1)]),
         "collider edge missing from skeleton",
@@ -120,6 +115,13 @@ CASES = {
     "config_default_alpha_one_vertex": (
         fisher_z_config(p=1, delta_in=0),
         "alpha default needs p >= 2",
+    ),
+    "config_seeds_of_empty_tokens_only": (
+        lambda: parse_config(
+            "generator = erdos_renyi\np = 4\nm = 2\nalgo = pc\n"
+            "oracle = dsep\nseeds = ,\n"
+        ),
+        "need at least one seed",
     ),
 }
 
