@@ -164,8 +164,7 @@ class DsepOracle(CiOracle):
         return d_separated(self.dag, x, y, s)
 
 
-def dsep_oracle(dag: Dag) -> DsepOracle:
-    return DsepOracle(dag)
+dsep_oracle = DsepOracle
 
 
 class Dataset:
@@ -340,7 +339,4 @@ class FisherZOracle(CiOracle):
         return abs(z) <= self.z_threshold
 
 
-def fisher_z_oracle(dataset: Dataset, alpha: float | None = None) -> FisherZOracle:
-    """A ``FisherZOracle`` at significance level alpha, which defaults to
-    ``default_alpha(dataset.p)``."""
-    return FisherZOracle(dataset, alpha)
+fisher_z_oracle = FisherZOracle

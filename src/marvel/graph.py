@@ -26,6 +26,11 @@ def _pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def _check_vertex_count(p: int) -> None:
+    if p < 0:
+        raise ValueError("vertex count must be nonnegative")
+
+
 def _check_edge(p: int, i: int, j: int) -> None:
     if not (0 <= i < p and 0 <= j < p):
         raise ValueError(f"edge ({i}, {j}) out of range for p={p}")
@@ -47,8 +52,7 @@ class Dag:
     )
 
     def __init__(self, p: int, edges: Iterable[tuple[int, int]] = ()):
-        if p < 0:
-            raise ValueError("vertex count must be nonnegative")
+        _check_vertex_count(p)
         parents: list[set[int]] = [set() for _ in range(p)]
         children: list[set[int]] = [set() for _ in range(p)]
         for i, j in edges:
@@ -89,9 +93,6 @@ class Dag:
         self._amask = tuple(amask)
         self._dmask = tuple(dmask)
 
-    def neighbors(self, x: int) -> frozenset[int]:
-        return self.parents[x] | self.children[x]
-
     def topological_order(self) -> tuple[int, ...]:
         """Vertices with every parent before its children; ties go to the
         smallest ready index, so the order is deterministic."""
@@ -124,20 +125,6 @@ class Dag:
     def max_in_degree(self) -> int:
         return max((len(s) for s in self.parents), default=0)
 
-    def induced_subgraph(self, keep: Iterable[int]) -> tuple["Dag", dict[int, int]]:
-        """Sub-DAG on ``keep`` with dense reindexing; returns (dag, old->new)."""
-        old = sorted(set(keep))
-        if any(not 0 <= v < self.p for v in old):
-            raise ValueError("induced vertex out of range")
-        remap = {v: k for k, v in enumerate(old)}
-        edges = [
-            (remap[i], remap[j])
-            for i in old
-            for j in sorted(self.children[i])
-            if j in remap
-        ]
-        return Dag(len(old), edges), remap
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dag):
             return NotImplemented
@@ -166,8 +153,7 @@ class Pdag:
         directed: Iterable[tuple[int, int]] = (),
         undirected: Iterable[tuple[int, int]] = (),
     ):
-        if p < 0:
-            raise ValueError("vertex count must be nonnegative")
+        _check_vertex_count(p)
         dset = set()
         for i, j in directed:
             _check_edge(p, i, j)

@@ -42,12 +42,12 @@ from .mb import MbMap, update_after_removal
 class NeighborInfo:
     """Split of one variable's Markov boundary into neighbors and co-parents.
 
-    ``sepsets[t]`` is the first separating set found for co-parent t; it
-    witnesses that t is not adjacent.
+    The co-parents are the keys of ``sepsets``: ``sepsets[t]`` is the first
+    separating set found for co-parent t; it witnesses that t is not
+    adjacent.
     """
 
     neighbors: frozenset[int]
-    coparents: frozenset[int]
     sepsets: dict[int, frozenset[int]]
 
 
@@ -101,23 +101,19 @@ def find_neighbors(
     mb_x = frozenset(mb_x)
     cached = caches.neighbor_info.get(x)
     if cached is not None:
-        coparents = cached.coparents & mb_x
         return NeighborInfo(
             neighbors=cached.neighbors & mb_x,
-            coparents=coparents,
-            sepsets={t: cached.sepsets[t] for t in coparents},
+            sepsets={t: s for t, s in cached.sepsets.items() if t in mb_x},
         )
     neighbors = set()
-    coparents = set()
     sepsets: dict[int, frozenset[int]] = {}
     for y in sorted(mb_x):
         s = oracle.search(x, y, mb_x - {y}, sizes=range(len(mb_x) - 1))
         if s is None:
             neighbors.add(y)
         else:
-            coparents.add(y)
             sepsets[y] = s
-    info = NeighborInfo(frozenset(neighbors), frozenset(coparents), sepsets)
+    info = NeighborInfo(frozenset(neighbors), sepsets)
     caches.neighbor_info[x] = info
     return info
 
@@ -142,12 +138,11 @@ def find_vpa(
         return frozenset(
             (a, y, t)
             for a, y, t in cached
-            if y in info.neighbors and t in info.coparents
+            if y in info.neighbors and t in info.sepsets
         )
     pool_base = mb_x | {x}
     triples = set()
-    for t in sorted(info.coparents):
-        s_xt = info.sepsets[t]
+    for t, s_xt in sorted(info.sepsets.items()):
         for y in sorted(info.neighbors):
             if y in s_xt:
                 continue

@@ -14,7 +14,7 @@ from operator import index
 from typing import Iterable
 
 from .ci import CiOracle
-from .graph import AllBut
+from .graph import AllBut, _check_vertex_count
 
 
 class MbMap:
@@ -27,8 +27,7 @@ class MbMap:
     __slots__ = ("p", "mb", "removed")
 
     def __init__(self, p: int) -> None:
-        if p < 0:
-            raise ValueError("vertex count must be nonnegative")
+        _check_vertex_count(p)
         self.p = p
         self.mb: list[set[int]] = [set() for _ in range(p)]
         self.removed: set[int] = set()

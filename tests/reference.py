@@ -4,7 +4,15 @@ Each follows its definition directly, with no regard for speed:
 path-enumeration d-separation, the essential graph by enumeration of every
 vertex ordering, removability and the Markov boundary read off the
 structure, the moral graph, directed descendants, and the exact covariance
-of a linear-Gaussian model.
+of a linear-Gaussian model. Two graph helpers only tests need sit beside
+them: ``neighbors(g, v)``, a vertex's parents and children, and
+``induced_subgraph(g, keep)``, the sub-DAG on a vertex set with dense
+reindexing.
+
+They live here because ``tests/test_layout.py`` lets the package hold only
+what a run needs: every function or class of a package module, every
+method of its classes and every property must be used, outside its own
+definition, by another package module or by a ``perfbench`` script.
 """
 
 from __future__ import annotations
@@ -16,6 +24,25 @@ import numpy as np
 
 from marvel.graph import Dag, Pdag, check_query, v_structures
 from marvel.synth import ScmSpec
+
+
+def neighbors(g: Dag, v: int) -> frozenset[int]:
+    return g.parents[v] | g.children[v]
+
+
+def induced_subgraph(g: Dag, keep: Iterable[int]) -> tuple[Dag, dict[int, int]]:
+    """Sub-DAG on ``keep`` with dense reindexing; returns (dag, old->new)."""
+    old = sorted(set(keep))
+    if any(not 0 <= v < g.p for v in old):
+        raise ValueError("induced vertex out of range")
+    remap = {v: k for k, v in enumerate(old)}
+    edges = [
+        (remap[i], remap[j])
+        for i in old
+        for j in sorted(g.children[i])
+        if j in remap
+    ]
+    return Dag(len(old), edges), remap
 
 
 def descendants(g: Dag, x: int) -> frozenset[int]:
@@ -63,7 +90,7 @@ def d_separated_bruteforce(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> boo
         # returns True if an active path to y was found
         if v == y:
             return not blocked(path)
-        for w in sorted(g.neighbors(v)):
+        for w in sorted(neighbors(g, v)):
             if w in on_path:
                 continue
             path.append(w)
@@ -86,9 +113,9 @@ def is_removable_graphical(g: Dag, x: int) -> bool:
     """
     if not 0 <= x < g.p:
         raise ValueError(f"vertex {x} out of range for p={g.p}")
-    n_x = g.neighbors(x)
+    n_x = neighbors(g, x)
     for z in g.children[x]:
-        if not n_x <= (g.neighbors(z) | {z}):
+        if not n_x <= (neighbors(g, z) | {z}):
             return False
         for y in g.children[x] & g.parents[z]:
             if not g.parents[y] <= g.parents[z]:

@@ -14,8 +14,10 @@ import numpy as np
 from conftest import random_dag
 from reference import (
     cpdag_bruteforce,
+    induced_subgraph,
     is_removable_graphical,
     markov_boundary_graphical,
+    neighbors,
 )
 from marvel.bench import ExperimentConfig, run_experiment
 from marvel.ci import Dataset, dsep_oracle, fisher_z_oracle
@@ -126,8 +128,8 @@ def test_07_boundary_update_matches_fresh_recomputation():
         x = next(v for v in range(g.p) if is_removable_graphical(g, v))
         oracle = dsep_oracle(g)
         m = total_conditioning(oracle)
-        update_after_removal(m, x, sorted(g.neighbors(x)), oracle)
-        sub, remap = g.induced_subgraph(v for v in range(g.p) if v != x)
+        update_after_removal(m, x, sorted(neighbors(g, x)), oracle)
+        sub, remap = induced_subgraph(g, (v for v in range(g.p) if v != x))
         fresh = total_conditioning(dsep_oracle(sub))
         back = {new: old for old, new in remap.items()}
         for v in range(g.p):

@@ -20,7 +20,13 @@ benchmark needs: every module-level function or class of a package module
 is referenced, outside its own definition, by a package module other than
 ``__init__.py`` or by a ``perfbench`` script. An export in ``__init__.py``
 alone does not count, so a routine only the tests call, such as a
-brute-force reference, belongs in ``tests/reference.py``.
+brute-force reference, belongs in ``tests/reference.py``. The same holds
+for class members: every method of a package module's class is called, and
+every property read, by such a module outside the member's own definition.
+A call is ``<expr>.name(...)``, so a field of the same name read elsewhere
+does not count. Dunders are exempt, and so is a member that overrides a
+name a base class from outside the package defines, found through the
+class's MRO.
 
 No package module defines an exception class. Bad input raises the
 builtin ``ValueError`` or ``TypeError``, which the command line maps to
@@ -30,6 +36,8 @@ warning, not an exception.
 
 import ast
 import builtins
+from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -273,10 +281,11 @@ def unreferenced_definitions(package, others):
     ]
 
 
-def test_every_definition_serves_a_run():
-    def parse(path):
-        return ast.parse(path.read_text(), filename=str(path))
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
 
+
+def test_every_definition_serves_a_run():
     package = {path.name: parse(path) for path in SRC.glob("*.py")}
     others = [parse(path) for path in PERFBENCH.glob("*.py")]
     assert unreferenced_definitions(package, others) == []
@@ -307,6 +316,120 @@ def test_rule_catches_an_unreferenced_definition():
         ("graph.py", "orphan"),
         ("graph.py", "recursive"),
         ("graph.py", "exported"),
+    ]
+
+
+def uses(node):
+    """Counts of ("call", name) for each ``<expr>.name(...)`` in the node
+    and of ("read", name) for each attribute it reads."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+            found["call", n.func.attr] += 1
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            found["read", n.attr] += 1
+    return found
+
+
+def outside_names(cls):
+    """Names that a base class of ``cls`` from outside the package defines."""
+    return {
+        name
+        for base in cls.__mro__[1:]
+        if base.__module__.split(".")[0] != "marvel"
+        for name in vars(base)
+    }
+
+
+def unserved_members(package, others, inherited):
+    """(module, "Class.member") of every method of a module-level class of a
+    package module other than ``__init__.py`` that no such module and none
+    of the ``others`` trees calls outside the method's own body, and of
+    every property none of them reads there. A call is ``<expr>.name(...)``,
+    so a field or attribute of the same name does not count. Dunders are
+    skipped, and so is every name in ``inherited(module, class)``, the names
+    a base class outside the package defines."""
+    modules = {name: tree for name, tree in package.items() if name != "__init__.py"}
+    used = sum(map(uses, [*modules.values(), *others]), Counter())
+    found = []
+    for name, tree in sorted(modules.items()):
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            outside = inherited(name, cls.name)
+            for member in cls.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if member.name.startswith("__") and member.name.endswith("__"):
+                    continue
+                if member.name in outside:
+                    continue
+                prop = any(
+                    isinstance(d, ast.Name) and d.id == "property"
+                    for d in member.decorator_list
+                )
+                key = ("read" if prop else "call", member.name)
+                if used[key] <= uses(member)[key]:
+                    found.append((name, f"{cls.name}.{member.name}"))
+    return found
+
+
+def test_every_member_serves_a_run():
+    def inherited(module, name):
+        return outside_names(getattr(import_module(f"marvel.{module[:-3]}"), name))
+
+    package = {path.name: parse(path) for path in SRC.glob("*.py")}
+    others = [parse(path) for path in PERFBENCH.glob("*.py")]
+    assert unserved_members(package, others, inherited) == []
+
+
+def test_rule_catches_an_unserved_member():
+    package = {
+        "__init__.py": "from .graph import Dag\nDag().exported()\n",
+        "graph.py": (
+            "import argparse\n"
+            "from dataclasses import dataclass\n"
+            "class Dag:\n"
+            "    def orphan(self):\n"
+            "        pass\n"
+            "    def walk(self, n):\n"
+            "        return self.walk(n - 1) if n else 0\n"
+            "    def exported(self):\n"
+            "        pass\n"
+            "    def neighbors(self, v):\n"
+            "        pass\n"
+            "    def shared(self):\n"
+            "        pass\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        return 0\n"
+            "    def __repr__(self):\n"
+            "        return 'Dag()'\n"
+            "@dataclass\n"
+            "class Info:\n"
+            "    neighbors: frozenset\n"
+            "class Parser(argparse.ArgumentParser):\n"
+            "    def error(self, message):\n"
+            "        raise SystemExit(1)\n"
+        ),
+        "mb.py": (
+            "def battery(g, info):\n"
+            "    g.shared()\n"
+            "    return info.neighbors\n"
+        ),
+    }
+    others = ["def report(g):\n    return g.size\n"]
+    namespace = {"__name__": "marvel.graph"}
+    exec(package["graph.py"], namespace)
+    assert unserved_members(
+        {name: ast.parse(code) for name, code in package.items()},
+        [ast.parse(code) for code in others],
+        lambda module, name: outside_names(namespace[name]),
+    ) == [
+        ("graph.py", "Dag.orphan"),
+        ("graph.py", "Dag.walk"),
+        ("graph.py", "Dag.exported"),
+        ("graph.py", "Dag.neighbors"),
     ]
 
 

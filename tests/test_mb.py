@@ -11,7 +11,12 @@ from itertools import combinations
 import pytest
 
 from conftest import random_dag
-from reference import is_removable_graphical, markov_boundary_graphical
+from reference import (
+    induced_subgraph,
+    is_removable_graphical,
+    markov_boundary_graphical,
+    neighbors,
+)
 from marvel.ci import dsep_oracle
 from marvel.graph import Dag
 from marvel.mb import MbMap, total_conditioning, update_after_removal
@@ -106,7 +111,7 @@ class TestUpdateAfterRemoval:
             o = dsep_oracle(g)
             m = total_conditioning(o)
             x = next(v for v in range(g.p) if is_removable_graphical(g, v))
-            n_x = sorted(g.neighbors(x))
+            n_x = sorted(neighbors(g, x))
             before = o.stats()
             update_after_removal(m, x, n_x, o)
             k = len(n_x)
@@ -122,10 +127,10 @@ class TestUpdateAfterRemoval:
             m = total_conditioning(o)
             removable = [v for v in range(g.p) if is_removable_graphical(g, v)]
             x = rng.choice(removable)
-            update_after_removal(m, x, sorted(g.neighbors(x)), o)
+            update_after_removal(m, x, sorted(neighbors(g, x)), o)
 
             keep = [v for v in range(g.p) if v != x]
-            sub, remap = g.induced_subgraph(keep)
+            sub, remap = induced_subgraph(g, keep)
             fresh = total_conditioning(dsep_oracle(sub))
             for v in keep:
                 assert m.mb[v] == {
@@ -139,7 +144,7 @@ class TestUpdateAfterRemoval:
             o = dsep_oracle(g)
             m = total_conditioning(o)
             x = next(v for v in range(g.p) if is_removable_graphical(g, v))
-            update_after_removal(m, x, sorted(g.neighbors(x)), o)
+            update_after_removal(m, x, sorted(neighbors(g, x)), o)
             for a in range(g.p):
                 for b in m.mb[a]:
                     assert a in m.mb[b]

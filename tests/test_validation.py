@@ -11,6 +11,7 @@ import pytest
 
 from reference import (
     descendants,
+    induced_subgraph,
     is_removable_graphical,
     markov_boundary_graphical,
 )
@@ -62,7 +63,7 @@ CASES = {
         "self-loop at vertex 2",
     ),
     "induced_subgraph_out_of_range": (
-        lambda: CHAIN.induced_subgraph([0, 3]),
+        lambda: induced_subgraph(CHAIN, [0, 3]),
         "induced vertex out of range",
     ),
     "descendants_out_of_range": (
