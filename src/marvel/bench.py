@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .ci import CiOracle, Dataset, default_alpha, dsep_oracle, fisher_z_oracle
+from .ci import CiOracle, Dataset, checked_alpha, dsep_oracle, fisher_z_oracle
 from .graph import Dag, Pdag
 from .marvel import LearnResult, ci_budget_bound, marvel_learn, pc_baseline
 from .mb import total_conditioning
@@ -146,9 +146,7 @@ class ExperimentConfig:
                 raise ValueError(
                     "need at least two samples for a correlation matrix"
                 )
-            alpha = default_alpha(self.p) if self.alpha is None else self.alpha
-            if not 0.0 < alpha < 1.0:
-                raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+            checked_alpha(self.alpha, self.p)
         else:
             if self.n_samples is not None:
                 raise ValueError("dsep runs take no n_samples")

@@ -64,8 +64,9 @@ class CiOracle:
 
     Subclasses set ``self.p`` and implement ``_decide(x, y, s)``. It gets s
     as a frozenset, or, during total conditioning, as ``AllBut(p, x, y)``:
-    ``query`` passes an ``AllBut`` of its own p, x and y through unconverted
-    and turns every other input into a frozenset. ``_decide`` owns argument
+    ``query`` passes any ``AllBut`` through unconverted and turns every
+    other input into a frozenset; ``check_query`` rejects an ``AllBut``
+    whose p, x or y differ from the query's. ``_decide`` owns argument
     validation: it must reject a bad query with ``check_query``'s errors
     before deciding anything. A query is counted only after ``_decide``
     returns, so a rejected one counts nothing. Each query is validated
@@ -100,7 +101,7 @@ class CiOracle:
         self._by_size: dict[int, int] = {}
 
     def query(self, x: int, y: int, s: Iterable[int] = ()) -> bool:
-        if not (type(s) is AllBut and s.x == x and s.y == y and s.p == self.p):
+        if type(s) is not AllBut:
             s = frozenset(s)
         answer = self._decide(x, y, s)
         # Counted only once answered, so a query that raises leaves no trace.
@@ -221,6 +222,16 @@ def default_alpha(p: int) -> float:
     return 2.0 / (p * p)
 
 
+def checked_alpha(alpha: float | None, p: int) -> float:
+    """``alpha``, or ``default_alpha(p)`` when it is None, checked to lie
+    in (0, 1)."""
+    if alpha is None:
+        alpha = default_alpha(p)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    return alpha
+
+
 _CLAMP = 1.0 - 1e-7
 
 
@@ -307,14 +318,10 @@ class FisherZOracle(CiOracle):
 
     def __init__(self, dataset: Dataset, alpha: float | None = None) -> None:
         super().__init__()
-        if alpha is None:
-            alpha = default_alpha(dataset.p)
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        self.alpha = alpha = checked_alpha(alpha, dataset.p)
         self.n = dataset.n
         self.corr = dataset.corr
         self.p = dataset.p
-        self.alpha = alpha
         _bind_scipy()
         # ndtri is the standard normal quantile that scipy.stats.norm.ppf
         # wraps; calling it directly spares importing all of scipy.stats.

@@ -4,14 +4,14 @@ Vertices are always 0..p-1. ``Dag`` and ``Pdag`` are immutable value types
 and every operation in this module is a pure function.
 
 Vertex sets are plain frozensets at the API boundary, apart from the
-``AllBut`` sets of total conditioning; whenever iteration order matters they
-are sorted first so that identical inputs give identical outputs.
+``AllBut`` token that stands for the conditioning set of a total-conditioning
+query; whenever iteration order matters they are sorted first so that
+identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Set
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Union
@@ -201,22 +201,17 @@ def _vertices(p: int) -> frozenset[int]:
     return frozenset(range(p))
 
 
-class AllBut(Set):
-    """Every vertex of 0..p-1 except x and y, as a read-only set.
+class AllBut:
+    """Every vertex of 0..p-1 except x and y: the conditioning set of total
+    conditioning, held as its three fields and never built.
 
-    The conditioning set of total conditioning, held as its three fields
-    and never built: membership and length take O(1), iteration runs in
-    ascending order. Compares equal to any set with the same members.
-
-    ``d_separated`` never reads the members of the ``AllBut`` of its own
-    query: given every other vertex, x and y are d-separated exactly when y
-    is off x's moral row (its Markov blanket), which ``Dag`` precomputes.
-
-    x and y are meant to be two distinct vertices of 0..p-1, the only case
-    in which the length, p - 2, is right. Checking them here would cost as
-    much as the query they serve, so ``check_query`` does it: it checks x
-    and y of the one ``AllBut`` it passes on, its own query's, and converts
-    any other to a frozenset by iterating it, which holds for any fields.
+    A token, not a set: it has a length, p - 2, and iterates its members in
+    ascending order, which is all the query path reads. ``check_query``
+    accepts it only as the conditioning set of its own query, one with the
+    same p, x and y, and checks x and y there; any other raises.
+    ``d_separated`` never reads its members: given every other vertex, x
+    and y are d-separated exactly when y is off x's moral row (its Markov
+    blanket), which ``Dag`` precomputes.
     """
 
     __slots__ = ("p", "x", "y")
@@ -225,13 +220,6 @@ class AllBut(Set):
         self.p = p
         self.x = x
         self.y = y
-
-    @classmethod
-    def _from_iterable(cls, it: Iterable[int]) -> frozenset[int]:
-        return frozenset(it)
-
-    def __contains__(self, v: object) -> bool:
-        return v != self.x and v != self.y and v in range(self.p)
 
     def __iter__(self) -> Iterator[int]:
         x, y = self.x, self.y
@@ -244,7 +232,8 @@ class AllBut(Set):
 def check_query(
     p: int, x: int, y: int, s: Iterable[int]
 ) -> frozenset[int] | AllBut:
-    """Validate a CI query over vertices 0..p-1; returns s as a set.
+    """Validate a CI query over vertices 0..p-1; returns s as a frozenset,
+    or the query's own ``AllBut`` as it is.
 
     Every query entry point (the oracles, d-separation, partial correlation)
     checks its arguments here, so all of them reject the same inputs with
@@ -254,14 +243,18 @@ def check_query(
     ValueError here; 2.0 or 2+0j passes, and the kernel that indexes with
     it raises TypeError. Nothing converts a vertex.
 
-    The ``AllBut(p, x, y)`` of this very query is returned as it is, after
-    only x and y are checked: its members are vertices other than x and y
-    by construction. Any other ``AllBut`` is converted and checked like
-    every other set.
+    An ``AllBut`` must be ``AllBut(p, x, y)`` of this very query, or
+    ValueError is raised. Then only x and y are checked: its members are
+    vertices other than x and y by construction.
     """
-    own = type(s) is AllBut and s.p == p and s.x == x and s.y == y
+    own = type(s) is AllBut
     if not own:
         s = frozenset(s)
+    elif s.p != p or s.x != x or s.y != y:
+        raise ValueError(
+            f"AllBut({s.p!r}, {s.x!r}, {s.y!r}) is not the conditioning "
+            f"set of query ({x!r}, {y!r}) for p={p}"
+        )
     vertices = _vertices(p)
     if not (x in vertices and y in vertices and (own or s <= vertices)):
         for v in (x, y, *s):

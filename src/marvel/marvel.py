@@ -335,12 +335,11 @@ def _eliminate(
     pairs: set[tuple[int, int]] = set()
     heads: dict[tuple[int, int], int] = {}
     order: list[int] = []
-    alive = set(range(p))
 
-    while alive:
+    while len(order) < p:
         # Scan order is (|Mb(v)|, v), popped lazily: a round usually stops
         # after a few batteries, so sorting every alive vertex is waste.
-        scan = [(len(m.mb[v]), v) for v in alive]
+        scan = [(len(m.mb[v]), v) for v in range(p) if v not in m.removed]
         heapify(scan)
         first: tuple[int, NeighborInfo] | None = None
         while scan:
@@ -362,7 +361,6 @@ def _eliminate(
                 f"no removable vertex in round {len(order)}; "
                 f"forcing removal of {x}"
             )
-        alive.discard(x)
         order.append(x)
         update_after_removal(m, x, sorted(info.neighbors), oracle)
 

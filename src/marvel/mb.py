@@ -57,8 +57,8 @@ def total_conditioning(oracle: CiOracle) -> MbMap:
     For each of the C(p, 2) pairs of the oracle's p variables, x and y
     belong to each other's boundary iff they are dependent given all
     remaining variables. Performs exactly C(p, 2) queries. Each is asked
-    with ``AllBut(p, x, y)``, which stands for that set without building
-    it, so a query costs no set work of size p. On the exact oracle each
+    with the token ``AllBut(p, x, y)`` in place of that set, which is never
+    built, so a query costs no set work of size p. On the exact oracle each
     answer is read off the moral row: ``d_separated`` returns independent
     exactly when y is off x's Markov blanket, so the boundary map equals
     the graph's moral rows while every query is still asked and counted.

@@ -59,7 +59,7 @@ GRID = tuple((graph, algo) for graph, algos in PLAN for algo in algos)
 class RecordingOracle(DsepOracle):
     """d-separation oracle that logs every query it counts.
 
-    An ``AllBut`` set, which total conditioning asks with, is passed on
+    An ``AllBut`` token, which total conditioning asks with, is passed on
     unconverted so the oracle takes the same path it takes unrecorded;
     ``all_but`` counts those queries.
     """
@@ -79,7 +79,7 @@ class RecordingOracle(DsepOracle):
         # which keeps total conditioning at p=150 cheap to record; its size
         # makes the encoding unambiguous.
         if 2 * len(s) > self.p:
-            listed = self.vertices - s
+            listed = self.vertices.difference(s)
         else:
             listed = s
         self.log.append((int(x), int(y), len(s), tuple(sorted(listed))))

@@ -67,7 +67,7 @@ def d_separated_bruteforce(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> boo
     rule directly: a path is active iff each collider on it has a descendant
     in s and no non-collider on it is in s.
     """
-    s = check_query(g.p, x, y, s)
+    s = frozenset(check_query(g.p, x, y, s))
     desc_cache: dict[int, frozenset[int]] = {}
 
     def blocked(path: list[int]) -> bool:

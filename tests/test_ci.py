@@ -501,20 +501,18 @@ class TestSearchMatchesReference:
         assert got_o.stats() - before == want_o.stats()
 
 
-def outcome(o, x, y, s):
-    """The answer of ``o.query(x, y, s)``, or the error it raised."""
-    try:
-        return o.query(x, y, s)
-    except (ValueError, TypeError) as e:
-        return type(e), str(e)
-
-
 def all_but_oracles(p, seed):
-    """A d-separation and a Fisher-Z oracle over one random DAG on p
-    vertices, fresh on each call."""
+    """A d-separation oracle and two Fisher-Z oracles over one random DAG
+    on p vertices, fresh on each call. The second Fisher-Z oracle has
+    n = p samples, so every total-conditioning query takes its degenerate
+    branch."""
     g = random_dag(random.Random(seed), p)
-    d = sample(random_scm(g, seed=seed), n=60, seed=seed)
-    return g, [dsep_oracle(g), fisher_z_oracle(d)]
+    scm = random_scm(g, seed=seed)
+    return g, [
+        dsep_oracle(g),
+        fisher_z_oracle(sample(scm, n=60, seed=seed)),
+        fisher_z_oracle(sample(scm, n=p, seed=seed)),
+    ]
 
 
 @hs.composite
@@ -528,7 +526,7 @@ def all_but_queries(draw):
 class TestAllButQueries:
     # Total conditioning asks AllBut(p, x, y) in place of the frozenset of
     # every vertex but x and y; nothing the oracle reports may tell them
-    # apart, and an AllBut that does not fit its query is an ordinary set.
+    # apart, and an AllBut that does not fit its query raises, uncounted.
 
     @settings(max_examples=100, deadline=None)
     @given(all_but_queries())
@@ -587,31 +585,29 @@ class TestAllButQueries:
 
     @settings(max_examples=100, deadline=None)
     @given(all_but_queries(), hs.data())
-    def test_mismatched_fields_act_as_the_frozenset(self, case, data):
+    def test_mismatched_fields_raise_uncounted(self, case, data):
         p, seed, x, y = case
-        z = data.draw(hs.integers(0, p - 1))
+        z = data.draw(hs.integers(0, p - 1).filter(lambda v: v != y))
         fields = data.draw(
             hs.sampled_from(
                 [
                     (p - 1, x, y),  # wrong p
                     (p + 1, x, y),
                     (p, y, x),  # swapped endpoints
-                    (p, x, z),  # another endpoint, or y again
-                    (p, x, x),  # x == y
+                    (p, x, z),  # another endpoint, or x again
                     (p, x, p),  # an endpoint out of range
                     (p, -1, y),
                 ]
             )
         )
-        query = data.draw(hs.sampled_from([(x, y), fields[1:]]))
-        _, got = all_but_oracles(p, seed)
-        _, want = all_but_oracles(p, seed)
-        a = AllBut(*fields)
-        for got_o, want_o in zip(got, want):
-            assert outcome(got_o, *query, a) == outcome(
-                want_o, *query, frozenset(a)
-            )
-            assert got_o.stats() == want_o.stats()
+        _, oracles = all_but_oracles(p, seed)
+        for o in oracles:
+            o.query(x, y, AllBut(p, x, y))
+            before = (o.stats(), o.n_degenerate, o.n_singular)
+            with pytest.raises(ValueError):
+                o.query(x, y, AllBut(*fields))
+            assert (o.stats(), o.n_degenerate, o.n_singular) == before
+        assert oracles[2].n_degenerate == 1
 
 
 class TestValidatedOnce:

@@ -329,13 +329,6 @@ class TestAllBut:
         a = AllBut(6, 4, 1)
         assert list(a) == [0, 2, 3, 5]
         assert len(a) == 4
-        assert 2 in a and 2.0 in a
-        assert 1 not in a and 4 not in a and 6 not in a and -1 not in a
-        assert "2" not in a and None not in a
-        assert a == frozenset({0, 2, 3, 5}) == a
-        assert a == {0, 2, 3, 5} and a != {0, 2, 3}
-        assert a <= set(range(6)) and not a <= {0, 2}
-        assert a & {0, 1, 2} == frozenset({0, 2})
         with pytest.raises(AttributeError):
             a.extra = 1
 
@@ -359,11 +352,13 @@ class TestAllBut:
     def test_check_query_keeps_only_its_own_query(self):
         a = AllBut(6, 4, 1)
         assert check_query(6, 4, 1, a) is a
-        for p, x, y in [(7, 4, 1), (6, 1, 4)]:
-            got = check_query(p, x, y, a)
-            assert type(got) is frozenset and got == a
-        with pytest.raises(ValueError, match="may not contain the endpoints"):
-            check_query(6, 4, 2, a)
+        for p, x, y in [(7, 4, 1), (6, 1, 4), (6, 4, 2)]:
+            with pytest.raises(ValueError) as raised:
+                check_query(p, x, y, a)
+            assert str(raised.value) == (
+                f"AllBut(6, 4, 1) is not the conditioning set of query ({x}, {y}) "
+                f"for p={p}"
+            )
         with pytest.raises(ValueError, match="vertex 6 out of range"):
             check_query(6, 4, 6, AllBut(6, 4, 6))
         with pytest.raises(ValueError, match="endpoints must differ"):

@@ -28,6 +28,11 @@ does not count. Dunders are exempt, and so is a member that overrides a
 name a base class from outside the package defines, found through the
 class's MRO.
 
+No package class inherits from outside the package, apart from the command
+line's ``cli._Parser``: a base such as ``collections.abc.Set`` or ``dict``
+would bring in members, such as set algebra, that no run calls and that the
+member rule cannot see.
+
 No package module defines an exception class. Bad input raises the
 builtin ``ValueError`` or ``TypeError``, which the command line maps to
 exit 1, and a contradiction in a statistical oracle's answers becomes a
@@ -484,4 +489,59 @@ def test_rule_catches_an_exception_class():
         (4, "CycleError"),
         (8, "Frozen"),
         (11, "Stop"),
+    ]
+
+
+FOREIGN_BASE_ALLOWED = {"marvel.cli._Parser"}
+
+
+def foreign_bases(classes):
+    """(class, base) of every class, by qualified name, with a base class
+    from outside the package other than ``object``, direct or inherited;
+    the first such base in the MRO is named. ``FOREIGN_BASE_ALLOWED``
+    is exempt."""
+    found = []
+    for cls in classes:
+        name = f"{cls.__module__}.{cls.__qualname__}"
+        if name in FOREIGN_BASE_ALLOWED:
+            continue
+        for base in cls.__mro__[1:-1]:
+            if base.__module__.split(".")[0] != "marvel":
+                found.append((name, f"{base.__module__}.{base.__qualname__}"))
+                break
+    return found
+
+
+def test_no_class_inherits_from_outside_the_package():
+    classes = []
+    for path in sorted(SRC.glob("*.py")):
+        module = import_module(f"marvel.{path.stem}")
+        classes += [
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        ]
+    assert foreign_bases(classes) == []
+
+
+def test_rule_catches_a_foreign_base():
+    from marvel.ci import DsepOracle
+    from marvel.cli import _Parser
+
+    namespace = {"__name__": "marvel.graph"}
+    exec(
+        "from collections.abc import Set\n"
+        "class Tokens(Set):\n"
+        "    pass\n"
+        "class Table(dict):\n"
+        "    pass\n"
+        "class Wrapper(Tokens):\n"
+        "    pass\n",
+        namespace,
+    )
+    classes = [namespace[n] for n in ("Tokens", "Table", "Wrapper")]
+    assert foreign_bases([*classes, DsepOracle, _Parser]) == [
+        ("marvel.graph.Tokens", "collections.abc.Set"),
+        ("marvel.graph.Table", "builtins.dict"),
+        ("marvel.graph.Wrapper", "collections.abc.Set"),
     ]
