@@ -37,18 +37,11 @@ from .ci import dsep_oracle, fisher_z_oracle, load_dataset, save_dataset
 from .graph import load_dag, load_pdag, markov_equivalent, save_dag, save_pdag
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser that exits with status 1 on usage errors."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="marvel", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="marvel", description=__doc__.splitlines()[0]
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a random DAG (and optional dataset)")
     gen.add_argument("--generator", choices=GENERATORS, required=True)
@@ -168,7 +161,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:

@@ -205,10 +205,11 @@ class AllBut:
     """Every vertex of 0..p-1 except x and y: the conditioning set of total
     conditioning, held as its three fields and never built.
 
-    A token, not a set: it has a length, p - 2, and iterates its members in
-    ascending order, which is all the query path reads. ``check_query``
-    accepts it only as the conditioning set of its own query, one with the
-    same p, x and y, and checks x and y there; any other raises.
+    A token, not a set: it has a length, p - 2 (0 for a token with p < 2,
+    which fits no query), and iterates its members in ascending order,
+    which is all the query path reads. ``check_query`` accepts it only as
+    the conditioning set of its own query, one with the same p, x and y,
+    and checks x and y there; any other raises.
     ``d_separated`` never reads its members: given every other vertex, x
     and y are d-separated exactly when y is off x's moral row (its Markov
     blanket), which ``Dag`` precomputes.
@@ -226,7 +227,8 @@ class AllBut:
         return (v for v in range(self.p) if v != x and v != y)
 
     def __len__(self) -> int:
-        return self.p - 2
+        # Never negative, so a mismatched token reaches check_query's error.
+        return self.p - 2 if self.p > 2 else 0
 
 
 def check_query(

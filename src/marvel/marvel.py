@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from heapq import heapify, heappop
 from itertools import combinations
 from math import ceil, comb
@@ -311,23 +310,22 @@ def run_learner(
     return LearnResult(essential, order, post, warnings, wall_ms)
 
 
-def marvel_learn(
-    oracle: CiOracle, mb0: MbMap, use_caches: bool = True
-) -> LearnResult:
+def marvel_learn(oracle: CiOracle, mb0: MbMap) -> LearnResult:
     """Recover the essential graph by recursive variable elimination.
 
     mb0 is the starting boundary map (typically from total_conditioning) and
-    is not mutated. With use_caches=False every round recomputes its
-    batteries from scratch; the output is identical, only the query count
-    changes. If a round finds no removable variable (possible only with a
-    fallible oracle), the variable with the smallest boundary is removed as
-    if removable and a warning is recorded.
+    is not mutated. One ``MarvelCaches`` serves every round: a battery
+    reuses what earlier batteries learned and no removal can change, so
+    the output equals an uncached run's and the query count can only drop.
+    If a round finds no removable variable (possible only with a fallible
+    oracle), the variable with the smallest boundary is removed as if
+    removable and a warning is recorded.
     """
-    return run_learner(oracle, mb0, partial(_eliminate, use_caches=use_caches))
+    return run_learner(oracle, mb0, _eliminate)
 
 
 def _eliminate(
-    oracle: CiOracle, mb0: MbMap, warnings: list[str], use_caches: bool
+    oracle: CiOracle, mb0: MbMap, warnings: list[str]
 ) -> tuple[Pdag, tuple[int, ...]]:
     p = oracle.p
     m = mb0.copy()
@@ -344,9 +342,8 @@ def _eliminate(
         first: tuple[int, NeighborInfo] | None = None
         while scan:
             x = heappop(scan)[1]
-            battery_caches = caches if use_caches else MarvelCaches()
             mb_x = frozenset(m.mb[x])
-            verdict, info, vpa = is_removable_ci(x, mb_x, oracle, battery_caches)
+            verdict, info, vpa = is_removable_ci(x, mb_x, oracle, caches)
             if first is None:
                 first = x, info
             pairs.update(_pair(x, y) for y in info.neighbors)

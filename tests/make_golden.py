@@ -3,14 +3,16 @@
   PYTHONPATH=src python3 tests/make_golden.py
 
 Every instance of ``GRID`` is a generated DAG, a fresh d-separation oracle,
-boundary discovery by total conditioning and one learner. Its record holds
-mb_tests, post_tests, the sum and the maximum of the conditioning-set size
-over every counted query, the elimination order, a digest of the essential
-graph and a digest of the sorted multiset of counted (x, y, S) queries. The
-multiset digest lets a change reorder the queries it issues, never change
-which queries are counted. ``tests/test_golden.py`` compares a fresh run
-with the committed file, so rerun this only when a generator or the grid
-changes, never to make a changed count pass.
+boundary discovery by total conditioning and one learner: ``marvel_learn``,
+the uncached reference ``reference.marvel_learn_uncached`` or
+``pc_baseline``. Its record holds mb_tests, post_tests, the sum and the
+maximum of the conditioning-set size over every counted query, the
+elimination order, a digest of the essential graph and a digest of the
+sorted multiset of counted (x, y, S) queries. The multiset digest lets a
+change reorder the queries it issues, never change which queries are
+counted. ``tests/test_golden.py`` compares a fresh run with the committed
+file, so rerun this only when a generator or the grid changes, never to
+make a changed count pass.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
+from reference import marvel_learn_uncached
 from marvel.bench import generate_dag, pc_baseline
 from marvel.ci import DsepOracle
 from marvel.graph import AllBut
@@ -31,7 +33,7 @@ GOLDEN_PATH = Path(__file__).with_name("golden_exact.json")
 
 LEARNERS = {
     "marvel": marvel_learn,
-    "marvel-nocache": partial(marvel_learn, use_caches=False),
+    "marvel-nocache": marvel_learn_uncached,
     "pc": pc_baseline,
 }
 
@@ -59,9 +61,11 @@ GRID = tuple((graph, algo) for graph, algos in PLAN for algo in algos)
 class RecordingOracle(DsepOracle):
     """d-separation oracle that logs every query it counts.
 
-    An ``AllBut`` token, which total conditioning asks with, is passed on
-    unconverted so the oracle takes the same path it takes unrecorded;
-    ``all_but`` counts those queries.
+    It overrides ``_decide``, so every query goes through the real
+    ``CiOracle.query``, ``AllBut`` pass-through included. A query is logged
+    only once ``_decide`` has returned, which is when ``query`` counts it,
+    so the log holds exactly the counted queries. ``all_but`` counts those
+    asked with an ``AllBut`` token, as total conditioning asks.
     """
 
     def __init__(self, dag) -> None:
@@ -70,10 +74,8 @@ class RecordingOracle(DsepOracle):
         self.log: list[tuple[int, int, int, tuple[int, ...]]] = []
         self.all_but = 0
 
-    def query(self, x, y, s=()):
-        if type(s) is not AllBut:
-            s = frozenset(s)
-        answer = super().query(x, y, s)
+    def _decide(self, x, y, s):
+        answer = super()._decide(x, y, s)
         self.all_but += type(s) is AllBut
         # A set of more than half the vertices is written as its complement,
         # which keeps total conditioning at p=150 cheap to record; its size

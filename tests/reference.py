@@ -3,8 +3,9 @@
 Each follows its definition directly, with no regard for speed:
 path-enumeration d-separation, the essential graph by enumeration of every
 vertex ordering, removability and the Markov boundary read off the
-structure, the moral graph, directed descendants, and the exact covariance
-of a linear-Gaussian model. Two graph helpers only tests need sit beside
+structure, the moral graph, directed descendants, the exact covariance of
+a linear-Gaussian model, and ``marvel_learn_uncached``, the learner with
+no memory across batteries. Two graph helpers only tests need sit beside
 them: ``neighbors(g, v)``, a vertex's parents and children, and
 ``induced_subgraph(g, keep)``, the sub-DAG on a vertex set with dense
 reindexing.
@@ -12,7 +13,8 @@ reindexing.
 They live here because ``tests/test_layout.py`` lets the package hold only
 what a run needs: every function or class of a package module, every
 method of its classes and every property must be used, outside its own
-definition, by another package module or by a ``perfbench`` script.
+definition, by another package module or by a ``perfbench`` script, and
+every defaulted parameter must be given a value there.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ from typing import Iterable
 
 import numpy as np
 
+from marvel import marvel as marvel_module
+from marvel.ci import CiOracle
 from marvel.graph import Dag, Pdag, check_query, v_structures
+from marvel.marvel import LearnResult, MarvelCaches, marvel_learn
+from marvel.mb import MbMap
 from marvel.synth import ScmSpec
 
 
@@ -258,3 +264,23 @@ def population_covariance(spec: ScmSpec) -> np.ndarray:
     inv = np.linalg.inv(np.eye(p) - a)
     d = np.diag(np.square(spec.noise_sd))
     return inv @ d @ inv.T
+
+
+def marvel_learn_uncached(oracle: CiOracle, mb0: MbMap) -> LearnResult:
+    """``marvel_learn`` with every removability battery started from a fresh
+    ``MarvelCaches``, so each round recomputes its batteries from scratch.
+
+    The learner looks ``is_removable_ci`` up in its module on every call;
+    that name is swapped for the duration of the run and then restored.
+    The output must equal the cached run's; only the query count may grow.
+    """
+    battery = marvel_module.is_removable_ci
+
+    def fresh(x, mb_x, oracle, caches):
+        return battery(x, mb_x, oracle, MarvelCaches())
+
+    marvel_module.is_removable_ci = fresh
+    try:
+        return marvel_learn(oracle, mb0)
+    finally:
+        marvel_module.is_removable_ci = battery

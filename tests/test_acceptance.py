@@ -17,6 +17,7 @@ from reference import (
     induced_subgraph,
     is_removable_graphical,
     markov_boundary_graphical,
+    marvel_learn_uncached,
     neighbors,
 )
 from marvel.bench import ExperimentConfig, run_experiment
@@ -158,9 +159,7 @@ def test_09_caches_change_query_counts_but_never_output():
         g = random_dag(rng, rng.randint(2, 9))
         on_oracle, off_oracle = dsep_oracle(g), dsep_oracle(g)
         on = marvel_learn(on_oracle, total_conditioning(on_oracle))
-        off = marvel_learn(
-            off_oracle, total_conditioning(off_oracle), use_caches=False
-        )
+        off = marvel_learn_uncached(off_oracle, total_conditioning(off_oracle))
         assert on.essential == off.essential, g
         assert on.elimination_order == off.elimination_order, g
         assert on.stats.n_tests <= off.stats.n_tests, g

@@ -567,6 +567,27 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["frobnicate"],
+                "argument command: invalid choice: 'frobnicate' (choose from "
+                "'generate', 'learn', 'bench', 'oracle-check')",
+            ),
+            (["learn", "--graph", "a", "--bogus"], "unrecognized arguments: --bogus"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_prints_usage_and_message(self, argv, message, capsys):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "usage: marvel [-h] {generate,learn,bench,oracle-check} ...\n"
+            f"marvel: error: {message}\n"
+        )
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ["--data", "d.csv"],

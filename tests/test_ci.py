@@ -600,12 +600,17 @@ class TestAllButQueries:
                 ]
             )
         )
-        _, oracles = all_but_oracles(p, seed)
+        g, oracles = all_but_oracles(p, seed)
+        # A token of fewer than two vertices has length 0, so Fisher-Z takes
+        # its kernel path at n = 30 and its degenerate branch at n = 3.
+        scm = random_scm(g, seed=seed)
+        oracles += [fisher_z_oracle(sample(scm, n=n, seed=seed)) for n in (30, 3)]
         for o in oracles:
             o.query(x, y, AllBut(p, x, y))
             before = (o.stats(), o.n_degenerate, o.n_singular)
-            with pytest.raises(ValueError):
-                o.query(x, y, AllBut(*fields))
+            for bad in (fields, (1, x, y), (0, x, y)):
+                with pytest.raises(ValueError, match="is not the conditioning set"):
+                    o.query(x, y, AllBut(*bad))
             assert (o.stats(), o.n_degenerate, o.n_singular) == before
         assert oracles[2].n_degenerate == 1
 

@@ -28,9 +28,18 @@ does not count. Dunders are exempt, and so is a member that overrides a
 name a base class from outside the package defines, found through the
 class's MRO.
 
-No package class inherits from outside the package, apart from the command
-line's ``cli._Parser``: a base such as ``collections.abc.Set`` or ``dict``
-would bring in members, such as set algebra, that no run calls and that the
+Every parameter with a default, of a package function or method, is given
+a value by some call in such a module or script, as a keyword or a
+positional argument, outside the function's own body: a default no run
+overrides is a mode no run takes, so a variant only the tests select, such
+as the learner without its caches, belongs in ``tests/reference.py`` too.
+A call of a class, or of a module-level alias of it such as
+``fisher_z_oracle``, gives values to its ``__init__``. Only ``cli.main``'s
+``argv`` is exempt: it is how the tests drive the entry point in-process.
+
+No package class inherits from outside the package: a base such as
+``argparse.ArgumentParser``, ``collections.abc.Set`` or ``dict`` would
+bring in members, such as set algebra, that no run calls and that the
 member rule cannot see.
 
 No package module defines an exception class. Bad input raises the
@@ -492,21 +501,15 @@ def test_rule_catches_an_exception_class():
     ]
 
 
-FOREIGN_BASE_ALLOWED = {"marvel.cli._Parser"}
-
-
 def foreign_bases(classes):
     """(class, base) of every class, by qualified name, with a base class
     from outside the package other than ``object``, direct or inherited;
-    the first such base in the MRO is named. ``FOREIGN_BASE_ALLOWED``
-    is exempt."""
+    the first such base in the MRO is named."""
     found = []
     for cls in classes:
-        name = f"{cls.__module__}.{cls.__qualname__}"
-        if name in FOREIGN_BASE_ALLOWED:
-            continue
         for base in cls.__mro__[1:-1]:
             if base.__module__.split(".")[0] != "marvel":
+                name = f"{cls.__module__}.{cls.__qualname__}"
                 found.append((name, f"{base.__module__}.{base.__qualname__}"))
                 break
     return found
@@ -526,7 +529,6 @@ def test_no_class_inherits_from_outside_the_package():
 
 def test_rule_catches_a_foreign_base():
     from marvel.ci import DsepOracle
-    from marvel.cli import _Parser
 
     namespace = {"__name__": "marvel.graph"}
     exec(
@@ -540,8 +542,134 @@ def test_rule_catches_a_foreign_base():
         namespace,
     )
     classes = [namespace[n] for n in ("Tokens", "Table", "Wrapper")]
-    assert foreign_bases([*classes, DsepOracle, _Parser]) == [
+    assert foreign_bases([*classes, DsepOracle]) == [
         ("marvel.graph.Tokens", "collections.abc.Set"),
         ("marvel.graph.Table", "builtins.dict"),
         ("marvel.graph.Wrapper", "collections.abc.Set"),
+    ]
+
+
+PARAMETER_EXEMPT = {"cli.main(argv)"}
+
+
+def defaulted_parameters(func, bound):
+    """(name, position) of every parameter of ``func`` with a default;
+    position is its index among a call's positional arguments, one less
+    for a ``bound`` method, whose first parameter the call does not pass,
+    and None for a keyword-only parameter."""
+    args = func.args
+    positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+    start = len(positional) - len(args.defaults)
+    return [
+        (name, i - bound) for i, name in enumerate(positional) if i >= start
+    ] + [
+        (a.arg, None)
+        for a, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def gives(call, name, position):
+    """True iff the call passes the parameter, by keyword, by position or
+    through a ``*`` or ``**`` argument."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return position < len(call.args) or any(
+        isinstance(a, ast.Starred) for a in call.args
+    )
+
+
+def unserved_parameters(package, others):
+    """"module.function(parameter)" of every parameter with a default, of a
+    module-level function or a method of a module-level class of a package
+    module other than ``__init__.py``, that no call in such a module or in
+    the ``others`` trees gives a value, outside the function's own body.
+    A call names its function as ``name(...)`` or ``<expr>.name(...)``; a
+    call of a class calls its ``__init__``, and a module-level alias such
+    as ``fisher_z_oracle = FisherZOracle`` resolves to its target.
+    ``PARAMETER_EXEMPT`` is skipped."""
+    modules = {name: tree for name, tree in package.items() if name != "__init__.py"}
+    aliases = {
+        stmt.targets[0].id: stmt.value.id
+        for tree in modules.values()
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and isinstance(stmt.value, ast.Name)
+        and [type(t) for t in stmt.targets] == [ast.Name]
+    }
+    calls = []
+    for tree in [*modules.values(), *others]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.append((aliases.get(callee, callee), node))
+    found = []
+    for module, tree in sorted(modules.items()):
+        for stmt in tree.body:
+            owner = stmt.name if isinstance(stmt, ast.ClassDef) else None
+            for func in stmt.body if owner else [stmt]:
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                callee = owner if func.name == "__init__" else func.name
+                own = set(map(id, ast.walk(func)))
+                prefix = f"{module[:-3]}.{owner}." if owner else f"{module[:-3]}."
+                for name, position in defaulted_parameters(func, owner is not None):
+                    served = any(
+                        target == callee
+                        and id(call) not in own
+                        and gives(call, name, position)
+                        for target, call in calls
+                    )
+                    key = f"{prefix}{func.name}({name})"
+                    if not served and key not in PARAMETER_EXEMPT:
+                        found.append(key)
+    return found
+
+
+def test_every_parameter_serves_a_run():
+    package = {path.name: parse(path) for path in SRC.glob("*.py")}
+    others = [parse(path) for path in PERFBENCH.glob("*.py")]
+    assert unserved_parameters(package, others) == []
+
+
+def test_rule_catches_an_unserved_parameter():
+    package = {
+        "__init__.py": "from .graph import solve\nsolve(None, 'pc', True)\n",
+        "graph.py": (
+            "class Dag:\n"
+            "    def __init__(self, p, edges=()):\n"
+            "        self.p = p\n"
+            "    def walk(self, v, depth=0):\n"
+            "        return self.walk(v, depth=depth + 1)\n"
+            "    def scaled(self, scale=1.0):\n"
+            "        return self.p * scale\n"
+            "new_dag = Dag\n"
+            "def solve(oracle, algo='marvel', record=False):\n"
+            "    pass\n"
+            "def load(path, *, strict=True, lenient=False):\n"
+            "    pass\n"
+            "def timed(fn, repeat=1):\n"
+            "    pass\n"
+            "def main(argv=None):\n"
+            "    pass\n"
+        ),
+        "mb.py": (
+            "from .graph import load, new_dag, solve, timed\n"
+            "def run(opts, job):\n"
+            "    solve(new_dag(3, [(0, 1)]), 'pc')\n"
+            "    load('x', **opts)\n"
+            "    timed(*job)\n"
+        ),
+        "cli.py": "def main(argv=None):\n    pass\n",
+    }
+    others = ["def report(g):\n    return g.scaled(scale=2.0)\n"]
+    assert unserved_parameters(
+        {name: ast.parse(code) for name, code in package.items()},
+        [ast.parse(code) for code in others],
+    ) == [
+        "graph.Dag.walk(depth)",
+        "graph.solve(record)",
+        "graph.main(argv)",
     ]

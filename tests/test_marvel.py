@@ -20,6 +20,7 @@ from reference import (
     induced_subgraph,
     is_removable_graphical,
     markov_boundary_graphical,
+    marvel_learn_uncached,
 )
 from marvel import marvel as marvel_module
 from marvel.bench import pc_baseline, simulate_dataset, solve
@@ -224,9 +225,9 @@ class TestBudgetBound:
             ci_budget_bound(10, -2)
 
 
-def learn(g, **kwargs):
+def learn(g):
     oracle = dsep_oracle(g)
-    return marvel_learn(oracle, total_conditioning(oracle), **kwargs)
+    return marvel_learn(oracle, total_conditioning(oracle))
 
 
 class TestMarvelLearn:
@@ -402,7 +403,8 @@ class TestRunProperties:
         for _ in range(15):
             g = random_dag(rng, rng.randint(3, 8))
             with_caches = learn(g)
-            without = learn(g, use_caches=False)
+            oracle = dsep_oracle(g)
+            without = marvel_learn_uncached(oracle, total_conditioning(oracle))
             assert with_caches.essential == without.essential
             assert with_caches.elimination_order == without.elimination_order
             assert with_caches.stats.n_tests <= without.stats.n_tests
