@@ -315,8 +315,12 @@ def marvel_learn(oracle: CiOracle, mb0: MbMap) -> LearnResult:
 
     mb0 is the starting boundary map (typically from total_conditioning) and
     is not mutated. One ``MarvelCaches`` serves every round: a battery
-    reuses what earlier batteries learned and no removal can change, so
-    the output equals an uncached run's and the query count can only drop.
+    reuses what earlier batteries learned. With an exact oracle no removal
+    can change what was learned, so the output equals an uncached run's
+    and the query count can only drop. A statistical oracle's answers hold
+    for no one DAG: a cached co-parent's separating set, or a "not a
+    collider" verdict, can outlive the larger boundary it was found in, so
+    the output may differ from an uncached run's.
     If a round finds no removable variable (possible only with a fallible
     oracle), the variable with the smallest boundary is removed as if
     removable and a warning is recorded.

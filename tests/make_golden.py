@@ -1,4 +1,5 @@
-"""Write golden_exact.json: counts, orders and digests of seeded exact runs.
+"""Write golden_exact.json and golden_fisherz.json: counts, orders and
+digests of seeded runs.
 
   PYTHONPATH=src python3 tests/make_golden.py
 
@@ -10,9 +11,19 @@ maximum of the conditioning-set size over every counted query, the
 elimination order, a digest of the essential graph and a digest of the
 sorted multiset of counted (x, y, S) queries. The multiset digest lets a
 change reorder the queries it issues, never change which queries are
-counted. ``tests/test_golden.py`` compares a fresh run with the committed
-file, so rerun this only when a generator or the grid changes, never to
-make a changed count pass.
+counted.
+
+Every instance of ``FISHER_Z_GRID`` is the same solve, with the same three
+learners, on linear-Gaussian data simulated for the DAG and answered by a
+Fisher-Z oracle. Its record adds the learner's warnings and the oracle's
+``n_degenerate`` and ``n_singular``, and its query digest covers each
+counted query's answer as well. Those answers come from the LAPACK that
+numpy and scipy link, so the file also holds the versions of both it was
+written with.
+
+``tests/test_golden.py`` compares fresh runs with the committed files, so
+rerun this only when a generator or a grid changes, never to make a changed
+count pass.
 """
 
 from __future__ import annotations
@@ -22,14 +33,18 @@ import json
 import sys
 from pathlib import Path
 
+import numpy
+import scipy
+
 from reference import marvel_learn_uncached
-from marvel.bench import generate_dag, pc_baseline
-from marvel.ci import DsepOracle
+from marvel.bench import generate_dag, pc_baseline, simulate_dataset
+from marvel.ci import Dataset, DsepOracle, FisherZOracle
 from marvel.graph import AllBut
 from marvel.marvel import LearnResult, marvel_learn
 from marvel.mb import total_conditioning
 
 GOLDEN_PATH = Path(__file__).with_name("golden_exact.json")
+FISHER_Z_PATH = Path(__file__).with_name("golden_fisherz.json")
 
 LEARNERS = {
     "marvel": marvel_learn,
@@ -57,21 +72,44 @@ PLAN = (
 
 GRID = tuple((graph, algo) for graph, algos in PLAN for algo in algos)
 
+# (graph, n_samples, alpha, duplicated): the data are simulate_dataset(g,
+# n_samples, seed) for the graph's DAG g and seed, and alpha None is the
+# oracle's default. Small erdos_renyi cells at two levels; a cell with
+# n <= |S| + 3 for total conditioning's sets, so those queries are
+# degenerate; a cell whose last column duplicates its first, so every
+# submatrix holding both is singular; and the two cells of test_05 that
+# test_marvel pins.
+FISHER_Z_PLAN = (
+    *(
+        (("erdos_renyi", p, seed, 2 * p, None), n, alpha, False)
+        for p, n in ((8, 30), (10, 50), (12, 100), (15, 60))
+        for alpha in (0.05, 0.2)
+        for seed in range(2)
+    ),
+    (("erdos_renyi", 12, 0, 24, None), 12, 0.2, False),
+    (("erdos_renyi", 10, 0, 20, None), 50, 0.05, True),
+    *((("fixed_indegree", 50, seed, None, 4), 2500, None, False) for seed in (6, 9)),
+)
 
-class RecordingOracle(DsepOracle):
-    """d-separation oracle that logs every query it counts.
+FISHER_Z_GRID = tuple((cell, algo) for cell in FISHER_Z_PLAN for algo in ALL)
+
+
+class Recording:
+    """Mixin, put before an oracle class, that logs every query it counts.
 
     It overrides ``_decide``, so every query goes through the real
     ``CiOracle.query``, ``AllBut`` pass-through included. A query is logged
     only once ``_decide`` has returned, which is when ``query`` counts it,
-    so the log holds exactly the counted queries. ``all_but`` counts those
-    asked with an ``AllBut`` token, as total conditioning asks.
+    so ``log`` holds exactly the counted queries and ``answers`` their
+    answers. ``all_but`` counts those asked with an ``AllBut`` token, as
+    total conditioning asks.
     """
 
-    def __init__(self, dag) -> None:
-        super().__init__(dag)
-        self.vertices = frozenset(range(dag.p))
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.vertices = frozenset(range(self.p))
         self.log: list[tuple[int, int, int, tuple[int, ...]]] = []
+        self.answers: list[bool] = []
         self.all_but = 0
 
     def _decide(self, x, y, s):
@@ -85,7 +123,16 @@ class RecordingOracle(DsepOracle):
         else:
             listed = s
         self.log.append((int(x), int(y), len(s), tuple(sorted(listed))))
+        self.answers.append(answer)
         return answer
+
+
+class RecordingOracle(Recording, DsepOracle):
+    """d-separation oracle that logs every query it counts."""
+
+
+class RecordingFisherZ(Recording, FisherZOracle):
+    """Fisher-Z oracle that logs every query it counts, and its answer."""
 
 
 def _digest(obj) -> str:
@@ -98,10 +145,46 @@ def instance_key(graph, algo) -> str:
     return f"{generator} p={p} {shape} seed={seed} {algo}"
 
 
+def fisher_z_key(cell, algo) -> str:
+    graph, n, alpha, duplicated = cell
+    data = f"n={n} alpha={alpha}" + (" duplicated" if duplicated else "")
+    return instance_key(graph, f"{data} {algo}")
+
+
+def versions() -> dict:
+    """The numpy and scipy versions of this run."""
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
 def run_instance(graph, algo) -> tuple[dict, RecordingOracle, LearnResult]:
-    """One solve's record, the oracle that answered it and the result."""
+    """One exact solve's record, the oracle that answered it and the result."""
     generator, p, seed, m, delta_in = graph
     oracle = RecordingOracle(generate_dag(generator, p, seed, m, delta_in))
+    record, res = record_solve(oracle, algo)
+    return record, oracle, res
+
+
+def run_fisher_z(cell, algo) -> tuple[dict, RecordingFisherZ, LearnResult]:
+    """One Fisher-Z solve's record, the oracle that answered it and the
+    result."""
+    (generator, p, seed, m, delta_in), n, alpha, duplicated = cell
+    data = simulate_dataset(generate_dag(generator, p, seed, m, delta_in), n, seed)
+    if duplicated:
+        values = data.values.copy()
+        values[:, -1] = values[:, 0]
+        data = Dataset(values)
+    oracle = RecordingFisherZ(data, alpha)
+    record, res = record_solve(oracle, algo)
+    record["queries"] = _digest(sorted(zip(oracle.log, oracle.answers)))
+    record["warnings"] = res.warnings
+    record["n_degenerate"] = oracle.n_degenerate
+    record["n_singular"] = oracle.n_singular
+    return record, oracle, res
+
+
+def record_solve(oracle, algo) -> tuple[dict, LearnResult]:
+    """Boundary discovery and the named learner on a recording oracle: the
+    record and the result."""
     mb0 = total_conditioning(oracle)
     mb_tests = len(oracle.log)
     res = LEARNERS[algo](oracle, mb0)
@@ -116,17 +199,21 @@ def run_instance(graph, algo) -> tuple[dict, RecordingOracle, LearnResult]:
         "essential": _digest((ess.p, sorted(ess.directed), sorted(ess.undirected))),
         "queries": _digest(sorted(oracle.log)),
     }
-    return record, oracle, res
+    return record, res
+
+
+def write(path, records: dict) -> None:
+    """One line per entry, so a diff of the file names the moved records."""
+    lines = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in records.items()]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"{path.name}: {len(lines)} entries")
 
 
 def main() -> int:
-    lines = []
-    for graph, algo in GRID:
-        key = instance_key(graph, algo)
-        record, _, _ = run_instance(graph, algo)
-        print(key, record["mb_tests"], record["post_tests"], flush=True)
-        lines.append(f"  {json.dumps(key)}: {json.dumps(record)}")
-    GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    exact = {instance_key(*inst): run_instance(*inst)[0] for inst in GRID}
+    write(GOLDEN_PATH, exact)
+    fisher_z = {fisher_z_key(*inst): run_fisher_z(*inst)[0] for inst in FISHER_Z_GRID}
+    write(FISHER_Z_PATH, {"versions": versions(), **fisher_z})
     return 0
 
 

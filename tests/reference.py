@@ -272,7 +272,9 @@ def marvel_learn_uncached(oracle: CiOracle, mb0: MbMap) -> LearnResult:
 
     The learner looks ``is_removable_ci`` up in its module on every call;
     that name is swapped for the duration of the run and then restored.
-    The output must equal the cached run's; only the query count may grow.
+    With an exact oracle the output equals the cached run's and only the
+    query count may grow. On Fisher-Z data the two may learn different
+    graphs.
     """
     battery = marvel_module.is_removable_ci
 

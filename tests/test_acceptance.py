@@ -153,8 +153,10 @@ def test_08_independence_test_calibration():
 
 def test_09_caches_change_query_counts_but_never_output():
     # 100 random-DAG runs with caching on and off: identical elimination
-    # order and essential graph, and caching never costs extra queries.
+    # order and essential graph, and caching never costs extra queries and
+    # saves some on at least one run.
     rng = random.Random(909)
+    saved_somewhere = False
     for _ in range(100):
         g = random_dag(rng, rng.randint(2, 9))
         on_oracle, off_oracle = dsep_oracle(g), dsep_oracle(g)
@@ -163,3 +165,5 @@ def test_09_caches_change_query_counts_but_never_output():
         assert on.essential == off.essential, g
         assert on.elimination_order == off.elimination_order, g
         assert on.stats.n_tests <= off.stats.n_tests, g
+        saved_somewhere |= on.stats.n_tests < off.stats.n_tests
+    assert saved_somewhere

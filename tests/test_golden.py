@@ -1,4 +1,4 @@
-"""Golden exact-run gate: seeded exact solves against committed records.
+"""Golden-run gates: seeded solves against committed records.
 
 ``golden_exact.json`` holds, for each instance of ``make_golden.GRID``
 (both learners, marvel with and without caches, three generators, p up to
@@ -6,6 +6,11 @@
 essential-graph digest and a digest of the multiset of counted queries. A
 change to the exact path may make queries cheaper or reorder them, but it
 may not change which queries are counted or what is learned.
+
+``golden_fisherz.json`` holds the same for each Fisher-Z instance of
+``make_golden.FISHER_Z_GRID``, plus the warnings, ``n_degenerate`` and
+``n_singular``, with each counted query's answer in its digest: a change
+to the Fisher-Z path may not flip one answer either.
 """
 
 import json
@@ -14,9 +19,23 @@ from math import comb
 
 import pytest
 
-from make_golden import GOLDEN_PATH, GRID, instance_key, run_instance
+from make_golden import (
+    FISHER_Z_GRID,
+    FISHER_Z_PATH,
+    FISHER_Z_PLAN,
+    GOLDEN_PATH,
+    GRID,
+    fisher_z_key,
+    instance_key,
+    run_fisher_z,
+    run_instance,
+    versions,
+)
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+FISHER_Z = json.loads(FISHER_Z_PATH.read_text())
+# The answers' last bits come from the LAPACK that numpy and scipy link.
+WRITTEN_WITH = FISHER_Z.pop("versions")
 
 
 def test_file_covers_the_grid():
@@ -29,6 +48,37 @@ def test_file_covers_the_grid():
 def test_matches_golden(graph, algo):
     record, oracle, res = run_instance(graph, algo)
     assert record == GOLDEN[instance_key(graph, algo)]
+    check_accounting(record, oracle, res)
+
+
+def test_fisher_z_file_covers_the_grid():
+    assert sorted(FISHER_Z) == sorted(fisher_z_key(*inst) for inst in FISHER_Z_GRID)
+
+
+@pytest.mark.parametrize(
+    "cell, algo", FISHER_Z_GRID, ids=[fisher_z_key(*inst) for inst in FISHER_Z_GRID]
+)
+def test_fisher_z_matches_golden(cell, algo):
+    record, oracle, res = run_fisher_z(cell, algo)
+    assert record == FISHER_Z[fisher_z_key(cell, algo)], (
+        f"golden_fisherz.json was written with {WRITTEN_WITH}; "
+        f"this run has {versions()}"
+    )
+    check_accounting(record, oracle, res)
+
+
+def test_fisher_z_caches_never_cost_queries():
+    # On Fisher-Z data the cached and the uncached learner may learn
+    # different graphs, but the cached one never asks more queries.
+    for cell in FISHER_Z_PLAN:
+        cached, uncached = (
+            FISHER_Z[fisher_z_key(cell, algo)]["post_tests"]
+            for algo in ("marvel", "marvel-nocache")
+        )
+        assert cached <= uncached, cell
+
+
+def check_accounting(record, oracle, res):
     # The oracle's own counters agree with the queries it was seen to count.
     st = oracle.stats()
     assert (st.n_tests, st.sum_cond_size, st.max_cond_size) == (
@@ -37,7 +87,7 @@ def test_matches_golden(graph, algo):
         record["cond_max"],
     )
     # Total conditioning asked every pair given AllBut(p, x, y).
-    assert oracle.all_but == comb(graph[1], 2)
+    assert oracle.all_but == comb(oracle.p, 2)
     # The learner's window holds exactly the queries after boundary discovery.
     post = [k for _, _, k, _ in oracle.log[record["mb_tests"]:]]
     assert res.stats.by_size == Counter(post)

@@ -46,11 +46,19 @@ No package module defines an exception class. Bad input raises the
 builtin ``ValueError`` or ``TypeError``, which the command line maps to
 exit 1, and a contradiction in a statistical oracle's answers becomes a
 warning, not an exception.
+
+Every rule is a query over one index: ``scoped_nodes`` walks each package
+module and ``perfbench`` script, parsed once per session, into (module,
+qualified scope, node) entries, and "outside its own definition" is one
+predicate, ``inside``. Each self-test indexes its own snippet. No exemption
+outlives what it names: each ``ALLOWED_FILES`` file holds a ``.query`` and
+each ``PARAMETER_EXEMPT`` entry is a defaulted parameter.
 """
 
 import ast
 import builtins
-from collections import Counter
+from collections import defaultdict
+from functools import cache, partial
 from importlib import import_module
 from pathlib import Path
 
@@ -67,65 +75,93 @@ NO_INT_SCOPES = {
     ("ci.py", "partial_correlation_from_corr"),
     ("ci.py", "FisherZOracle._decide"),
 }
+PARAMETER_EXEMPT = {"cli.main(argv)"}
+# The package trees by file name and the perfbench trees, parsed once.
+PACKAGE = {path.name: ast.parse(path.read_text(), path) for path in SRC.glob("*.py")}
+OTHERS = [ast.parse(path.read_text(), path) for path in PERFBENCH.glob("*.py")]
 
 
+@cache
 def scoped_nodes(tree):
-    """(qualified scope, node) of every node in the tree; a class or
-    function node itself belongs to the scope that defines it."""
+    """(qualified scope, node) of every node in the tree, in source order; a
+    class or function node itself belongs to the scope that defines it, and
+    its decorators, defaults and body to its own. The file's one walker."""
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(child, DEFINITIONS):
                 inner = f"{scope}.{child.name}" if scope else child.name
             yield scope, child
             yield from walk(child, inner)
 
-    return walk(tree, "")
+    return tuple(walk(tree, ""))
+
+
+def index(package, others=()):
+    """The entries of the ``package`` trees, by file name, but ``__init__.py``,
+    whose exports are no use, then of the ``others`` trees, module None."""
+    trees = [(m, t) for m, t in sorted(package.items()) if m != "__init__.py"]
+    trees += [(None, tree) for tree in others]
+    return [(m, s, node) for m, tree in trees for s, node in scoped_nodes(tree)]
+
+
+def inside(entry, module, scope):
+    """True iff the (module, scope, ...) entry lies in the definition
+    ``scope`` of ``module``: in its decorators, its defaults or its body."""
+    return entry[0] == module and f"{entry[1]}.".startswith(f"{scope}.")
+
+
+def definitions(entries):
+    """(module, class, scope, node) of each module-level definition of a
+    package module, class None, and of each one in a module-level class."""
+    classes = {(m, n.name) for m, s, n in entries if not s and type(n) is ast.ClassDef}
+    return [
+        (m, s or None, f"{s}.{n.name}" if s else n.name, n)
+        for m, s, n in entries
+        if m and isinstance(n, DEFINITIONS) and (not s or (m, s) in classes)
+    ]
+
+
+def unserved(entries, key, wanted):
+    """Each finding of ``wanted``, (finding, module, scope, k, serves), that
+    no entry with ``key(node) == k`` and ``serves(node)`` true, ``bool`` for
+    any, serves from outside the definition ``scope`` of ``module``."""
+    groups = defaultdict(list)
+    for entry in entries:
+        groups[key(entry[2])].append(entry)
+    return [
+        finding
+        for finding, module, scope, k, serves in wanted
+        if not any(serves(e[2]) and not inside(e, module, scope) for e in groups[k])
+    ]
 
 
 def query_references(tree):
     """(qualified scope, line) of every ``<expr>.query`` in the tree."""
-    return [
-        (scope, node.lineno)
-        for scope, node in scoped_nodes(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "query"
-    ]
+    nodes = scoped_nodes(tree)
+    return [(s, n.lineno) for s, n in nodes if getattr(n, "attr", None) == "query"]
 
 
 def int_calls(tree):
     """(qualified scope, line) of every call of the name ``int``."""
-    return [
-        (scope, node.lineno)
-        for scope, node in scoped_nodes(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "int"
-    ]
+    calls = [(s, n) for s, n in scoped_nodes(tree) if isinstance(n, ast.Call)]
+    return [(s, n.lineno) for s, n in calls if getattr(n.func, "id", None) == "int"]
 
 
 def defined_scopes(tree):
     return {
         f"{scope}.{node.name}" if scope else node.name
         for scope, node in scoped_nodes(tree)
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        if isinstance(node, DEFINITIONS)
     }
 
 
 def test_query_is_called_only_from_mb_and_search():
-    stray = []
-    seen_in_search = False
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for scope, line in query_references(tree):
-            if path.name in ALLOWED_FILES:
-                continue
-            if (path.name, scope) in ALLOWED_SCOPES:
-                seen_in_search = True
-                continue
-            stray.append(f"{path.name}:{line} in {scope or '<module>'}")
-    assert stray == []
-    assert seen_in_search
+    found = [(n, *r) for n, t in sorted(PACKAGE.items()) for r in query_references(t)]
+    allowed = [f for f in found if f[0] in ALLOWED_FILES or f[:2] in ALLOWED_SCOPES]
+    assert [f for f in found if f not in allowed] == []
+    assert any(f[:2] in ALLOWED_SCOPES for f in allowed)
 
 
 def test_rule_catches_a_stray_query():
@@ -144,14 +180,11 @@ def test_rule_catches_a_stray_query():
 
 def test_query_path_never_calls_int():
     found = []
-    for name in sorted({name for name, _ in NO_INT_SCOPES}):
-        tree = ast.parse((SRC / name).read_text(), filename=name)
-        guarded = {scope for file, scope in NO_INT_SCOPES if file == name}
+    for name, guarded in sorted(NO_INT_SCOPES):
         # A renamed function must not slip out of the rule unnoticed.
-        assert guarded <= defined_scopes(tree)
-        for scope, line in int_calls(tree):
-            if any(scope == g or scope.startswith(g + ".") for g in guarded):
-                found.append(f"{name}:{line} in {scope}")
+        assert guarded in defined_scopes(PACKAGE[name])
+        calls = [(name, scope, line) for scope, line in int_calls(PACKAGE[name])]
+        found += [call for call in calls if inside(call, name, guarded)]
     assert found == []
 
 
@@ -180,26 +213,21 @@ def test_rule_catches_an_int_call():
 def unused_imports(tree):
     """(line, name) of every name a module imports and never reads. A name
     counts as read when it appears as a bare name anywhere in the module or
-    as a string in its ``__all__``."""
-    exported = {
-        elt.value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-        for elt in ast.walk(node.value)
-        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-    }
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                if name not in read and name not in exported:
-                    found.append((node.lineno, name))
-    return sorted(found)
+    as a string in the literal list of its ``__all__``."""
+    nodes = [node for _, node in scoped_nodes(tree)]
+    read = {node.id for node in nodes if isinstance(node, ast.Name)}
+    for node in nodes:
+        if "__all__" in [getattr(t, "id", None) for t in getattr(node, "targets", ())]:
+            read.update(ast.literal_eval(node.value))
+    return sorted(
+        (node.lineno, name)
+        for node in nodes
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        for name in [alias.asname or alias.name.split(".")[0]]
+        if name not in read
+    )
 
 
 def private_imports(tree):
@@ -207,7 +235,7 @@ def private_imports(tree):
     module of the package, by a relative or a ``marvel.`` import."""
     return [
         (node.lineno, alias.name)
-        for node in ast.walk(tree)
+        for _, node in scoped_nodes(tree)
         if isinstance(node, ast.ImportFrom)
         and (node.level > 0 or (node.module or "").split(".")[0] == "marvel")
         for alias in node.names
@@ -216,11 +244,8 @@ def private_imports(tree):
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    found = []
-    for path in [*sorted(SRC.glob("*.py")), REFERENCE]:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{line} {name}" for line, name in unused_imports(tree)]
-    assert found == []
+    trees = {**PACKAGE, REFERENCE.name: ast.parse(REFERENCE.read_text())}
+    assert [(n, f) for n, t in sorted(trees.items()) for f in unused_imports(t)] == []
 
 
 def test_rule_catches_an_unused_import():
@@ -238,11 +263,8 @@ def test_rule_catches_an_unused_import():
 
 
 def test_harness_imports_no_private_name():
-    found = []
-    for name in ("bench.py", "cli.py"):
-        tree = ast.parse((SRC / name).read_text(), filename=name)
-        found += [f"{name}:{line} {alias}" for line, alias in private_imports(tree)]
-    assert found == []
+    harness = ("bench.py", "cli.py")
+    assert [(n, f) for n in harness for f in private_imports(PACKAGE[n])] == []
 
 
 def test_rule_catches_a_private_import():
@@ -260,49 +282,26 @@ def test_rule_catches_a_private_import():
     ]
 
 
-def references(tree):
-    """Every name the module refers to as a bare name, an attribute or an
-    imported name, leaving out each module-level definition's references to
-    itself."""
-    found = set()
-    for stmt in tree.body:
-        own = stmt.name if isinstance(stmt, DEFINITIONS) else None
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name.rpartition(".")[2]
-            else:
-                continue
-            if name != own:
-                found.add(name)
-    return found
+def referenced_name(node):
+    """The name a bare name, an attribute or an imported name refers to."""
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
 def unreferenced_definitions(package, others):
     """(module, name) of every module-level function or class of a package
-    module other than ``__init__.py`` that no such module and none of the
-    ``others`` trees references; ``package`` maps a file name to its tree."""
-    modules = {name: tree for name, tree in package.items() if name != "__init__.py"}
-    used = set().union(*map(references, [*modules.values(), *others]))
-    return [
-        (name, stmt.name)
-        for name, tree in sorted(modules.items())
-        for stmt in tree.body
-        if isinstance(stmt, DEFINITIONS) and stmt.name not in used
-    ]
-
-
-def parse(path):
-    return ast.parse(path.read_text(), filename=str(path))
+    module that no package module but ``__init__.py`` and no ``others``
+    tree refers to outside a definition of that name in the referrer."""
+    entries = index(package, others)
+    named = [(referenced_name(entry[2]), entry) for entry in entries]
+    used = {name for name, entry in named if name and not inside(entry, entry[0], name)}
+    tops = [(m, scope) for m, owner, scope, _ in definitions(entries) if owner is None]
+    return [top for top in tops if top[1] not in used]
 
 
 def test_every_definition_serves_a_run():
-    package = {path.name: parse(path) for path in SRC.glob("*.py")}
-    others = [parse(path) for path in PERFBENCH.glob("*.py")]
-    assert unreferenced_definitions(package, others) == []
+    assert unreferenced_definitions(PACKAGE, OTHERS) == []
 
 
 def test_rule_catches_an_unreferenced_definition():
@@ -333,16 +332,13 @@ def test_rule_catches_an_unreferenced_definition():
     ]
 
 
-def uses(node):
-    """Counts of ("call", name) for each ``<expr>.name(...)`` in the node
-    and of ("read", name) for each attribute it reads."""
-    found = Counter()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
-            found["call", n.func.attr] += 1
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-            found["read", n.attr] += 1
-    return found
+def member_use(node):
+    """("call", name) for a call ``<expr>.name(...)``, ("read", name) for a
+    read of the attribute ``name``."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return "call", node.func.attr
+    loaded = isinstance(getattr(node, "ctx", None), ast.Load)
+    return ("read", node.attr) if loaded and isinstance(node, ast.Attribute) else None
 
 
 def outside_names(cls):
@@ -357,44 +353,26 @@ def outside_names(cls):
 
 def unserved_members(package, others, inherited):
     """(module, "Class.member") of every method of a module-level class of a
-    package module other than ``__init__.py`` that no such module and none
-    of the ``others`` trees calls outside the method's own body, and of
-    every property none of them reads there. A call is ``<expr>.name(...)``,
-    so a field or attribute of the same name does not count. Dunders are
-    skipped, and so is every name in ``inherited(module, class)``, the names
-    a base class outside the package defines."""
-    modules = {name: tree for name, tree in package.items() if name != "__init__.py"}
-    used = sum(map(uses, [*modules.values(), *others]), Counter())
-    found = []
-    for name, tree in sorted(modules.items()):
-        for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            outside = inherited(name, cls.name)
-            for member in cls.body:
-                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if member.name.startswith("__") and member.name.endswith("__"):
-                    continue
-                if member.name in outside:
-                    continue
-                prop = any(
-                    isinstance(d, ast.Name) and d.id == "property"
-                    for d in member.decorator_list
-                )
-                key = ("read" if prop else "call", member.name)
-                if used[key] <= uses(member)[key]:
-                    found.append((name, f"{cls.name}.{member.name}"))
-    return found
+    package module that no call, or property that no read, serves; dunders
+    and the names in ``inherited(module, class)`` are skipped."""
+    entries = index(package, others)
+    wanted = []
+    for m, owner, scope, node in definitions(entries):
+        name = node.name
+        if not owner or isinstance(node, ast.ClassDef) or name in inherited(m, owner):
+            continue
+        if not (name.startswith("__") and name.endswith("__")):
+            decorators = [getattr(d, "id", None) for d in node.decorator_list]
+            use = ("read" if "property" in decorators else "call", name)
+            wanted.append(((m, scope), m, scope, use, bool))
+    return unserved(entries, member_use, wanted)
 
 
 def test_every_member_serves_a_run():
     def inherited(module, name):
         return outside_names(getattr(import_module(f"marvel.{module[:-3]}"), name))
 
-    package = {path.name: parse(path) for path in SRC.glob("*.py")}
-    others = [parse(path) for path in PERFBENCH.glob("*.py")]
-    assert unserved_members(package, others, inherited) == []
+    assert unserved_members(PACKAGE, OTHERS, inherited) == []
 
 
 def test_rule_catches_an_unserved_member():
@@ -451,28 +429,20 @@ def exception_classes(tree):
     """(line, name) of every class in the tree with a builtin exception
     among its bases, by name or as ``builtins.<name>``, or an exception
     class of the same tree defined before it."""
-    own = set()
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for base in node.bases:
+    found = {}
+    for _, node in scoped_nodes(tree):
+        for base in node.bases if isinstance(node, ast.ClassDef) else ():
             name = getattr(base, "id", None) or getattr(base, "attr", None)
             builtin = getattr(builtins, name or "", None)
-            if name in own or (
-                isinstance(builtin, type) and issubclass(builtin, BaseException)
-            ):
-                own.add(node.name)
-                found.append((node.lineno, node.name))
+            error = isinstance(builtin, type) and issubclass(builtin, BaseException)
+            if error or name in found.values():
+                found[node.lineno] = node.name
                 break
-    return found
+    return list(found.items())
 
 
 def test_no_module_defines_an_exception():
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{line} {name}" for line, name in exception_classes(tree)]
+    found = [(n, f) for n, t in sorted(PACKAGE.items()) for f in exception_classes(t)]
     assert found == []
 
 
@@ -516,15 +486,9 @@ def foreign_bases(classes):
 
 
 def test_no_class_inherits_from_outside_the_package():
-    classes = []
-    for path in sorted(SRC.glob("*.py")):
-        module = import_module(f"marvel.{path.stem}")
-        classes += [
-            obj
-            for obj in vars(module).values()
-            if isinstance(obj, type) and obj.__module__ == module.__name__
-        ]
-    assert foreign_bases(classes) == []
+    modules = [import_module(f"marvel.{name[:-3]}") for name in sorted(PACKAGE)]
+    pairs = [(m, c) for m in modules for c in vars(m).values() if isinstance(c, type)]
+    assert foreign_bases([c for m, c in pairs if c.__module__ == m.__name__]) == []
 
 
 def test_rule_catches_a_foreign_base():
@@ -549,89 +513,61 @@ def test_rule_catches_a_foreign_base():
     ]
 
 
-PARAMETER_EXEMPT = {"cli.main(argv)"}
-
-
-def defaulted_parameters(func, bound):
-    """(name, position) of every parameter of ``func`` with a default;
-    position is its index among a call's positional arguments, one less
-    for a ``bound`` method, whose first parameter the call does not pass,
-    and None for a keyword-only parameter."""
-    args = func.args
-    positional = [a.arg for a in (*args.posonlyargs, *args.args)]
-    start = len(positional) - len(args.defaults)
-    return [
-        (name, i - bound) for i, name in enumerate(positional) if i >= start
-    ] + [
-        (a.arg, None)
-        for a, default in zip(args.kwonlyargs, args.kw_defaults)
-        if default is not None
-    ]
-
-
 def gives(call, name, position):
     """True iff the call passes the parameter, by keyword, by position or
     through a ``*`` or ``**`` argument."""
-    if any(k.arg in (name, None) for k in call.keywords):
-        return True
-    if position is None:
-        return False
-    return position < len(call.args) or any(
-        isinstance(a, ast.Starred) for a in call.args
-    )
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    at = position is not None and (position < len(call.args) or starred)
+    return at or any(k.arg in (name, None) for k in call.keywords)
 
 
-def unserved_parameters(package, others):
-    """"module.function(parameter)" of every parameter with a default, of a
-    module-level function or a method of a module-level class of a package
-    module other than ``__init__.py``, that no call in such a module or in
-    the ``others`` trees gives a value, outside the function's own body.
-    A call names its function as ``name(...)`` or ``<expr>.name(...)``; a
-    call of a class calls its ``__init__``, and a module-level alias such
-    as ``fisher_z_oracle = FisherZOracle`` resolves to its target.
-    ``PARAMETER_EXEMPT`` is skipped."""
-    modules = {name: tree for name, tree in package.items() if name != "__init__.py"}
-    aliases = {
-        stmt.targets[0].id: stmt.value.id
-        for tree in modules.values()
-        for stmt in tree.body
-        if isinstance(stmt, ast.Assign)
-        and isinstance(stmt.value, ast.Name)
-        and [type(t) for t in stmt.targets] == [ast.Name]
-    }
-    calls = []
-    for tree in [*modules.values(), *others]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-                calls.append((aliases.get(callee, callee), node))
+def defaults(entries):
+    """("module.function(parameter)", module, scope, callee, serves) of each
+    parameter with a default of a package function or method: ``serves``
+    is ``gives`` bound to it, and an ``__init__``'s callee is its class."""
     found = []
-    for module, tree in sorted(modules.items()):
-        for stmt in tree.body:
-            owner = stmt.name if isinstance(stmt, ast.ClassDef) else None
-            for func in stmt.body if owner else [stmt]:
-                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                callee = owner if func.name == "__init__" else func.name
-                own = set(map(id, ast.walk(func)))
-                prefix = f"{module[:-3]}.{owner}." if owner else f"{module[:-3]}."
-                for name, position in defaulted_parameters(func, owner is not None):
-                    served = any(
-                        target == callee
-                        and id(call) not in own
-                        and gives(call, name, position)
-                        for target, call in calls
-                    )
-                    key = f"{prefix}{func.name}({name})"
-                    if not served and key not in PARAMETER_EXEMPT:
-                        found.append(key)
+    for m, owner, scope, func in definitions(entries):
+        if isinstance(func, ast.ClassDef):
+            continue
+        args = func.args
+        # A call of a method does not pass its first parameter.
+        params = [*args.posonlyargs, *args.args]
+        named = [(a.arg, i - bool(owner)) for i, a in enumerate(params)]
+        named = named[len(named) - len(args.defaults):]
+        named += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+        callee = owner if func.name == "__init__" else func.name
+        for a, i in named:
+            serves = partial(gives, name=a, position=i)
+            found.append((f"{m[:-3]}.{scope}({a})", m, scope, callee, serves))
     return found
 
 
+def unserved_parameters(package, others):
+    """"module.function(parameter)" of every defaulted parameter that no call
+    ``name(...)`` or ``<expr>.name(...)`` gives a value; a module-level
+    alias such as ``fisher_z_oracle = FisherZOracle`` resolves to its
+    target. ``PARAMETER_EXEMPT`` is skipped."""
+    entries = index(package, others)
+    aliases = {
+        node.targets[0].id: node.value.id
+        for m, s, node in entries
+        if m and not s and isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Name)
+        and [type(t) for t in node.targets] == [ast.Name]
+    }
+
+    def callee(node):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            return aliases.get(name, name)
+        return None
+
+    wanted = [d for d in defaults(entries) if d[0] not in PARAMETER_EXEMPT]
+    return unserved(entries, callee, wanted)
+
+
 def test_every_parameter_serves_a_run():
-    package = {path.name: parse(path) for path in SRC.glob("*.py")}
-    others = [parse(path) for path in PERFBENCH.glob("*.py")]
-    assert unserved_parameters(package, others) == []
+    assert unserved_parameters(PACKAGE, OTHERS) == []
 
 
 def test_rule_catches_an_unserved_parameter():
@@ -673,3 +609,29 @@ def test_rule_catches_an_unserved_parameter():
         "graph.solve(record)",
         "graph.main(argv)",
     ]
+
+
+def dead_exemptions(package, files, parameters):
+    """The exemptions that name nothing: each of the ``files`` with no
+    ``<expr>.query`` reference, and each of the ``parameters`` that is no
+    defaulted parameter of a package function or method."""
+    entries = index(package)
+    live = {m for m, _, node in entries if getattr(node, "attr", None) == "query"}
+    return sorted((files | parameters) - live - {d[0] for d in defaults(entries)})
+
+
+def test_every_exemption_names_something():
+    assert dead_exemptions(PACKAGE, ALLOWED_FILES, PARAMETER_EXEMPT) == []
+
+
+def test_rule_catches_a_dead_exemption():
+    package = {
+        "mb.py": "def update(o):\n    return o.query(0, 1, ())\n",
+        "ci.py": "class CiOracle:\n    def search(self, x, base=()):\n        pass\n",
+        "cli.py": "def main(argv):\n    pass\n",
+    }
+    assert dead_exemptions(
+        {name: ast.parse(code) for name, code in package.items()},
+        {"mb.py", "bench.py"},
+        {"ci.CiOracle.search(base)", "cli.main(argv)", "cli.run(argv)"},
+    ) == ["bench.py", "cli.main(argv)", "cli.run(argv)"]

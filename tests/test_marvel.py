@@ -20,7 +20,6 @@ from reference import (
     induced_subgraph,
     is_removable_graphical,
     markov_boundary_graphical,
-    marvel_learn_uncached,
 )
 from marvel import marvel as marvel_module
 from marvel.bench import pc_baseline, simulate_dataset, solve
@@ -396,22 +395,6 @@ class TestRunProperties:
             assert a.elimination_order == b.elimination_order
             assert a.warnings == b.warnings
             assert a.stats == b.stats
-
-    def test_caches_change_counts_not_output(self):
-        rng = random.Random(10)
-        saved_somewhere = False
-        for _ in range(15):
-            g = random_dag(rng, rng.randint(3, 8))
-            with_caches = learn(g)
-            oracle = dsep_oracle(g)
-            without = marvel_learn_uncached(oracle, total_conditioning(oracle))
-            assert with_caches.essential == without.essential
-            assert with_caches.elimination_order == without.elimination_order
-            assert with_caches.stats.n_tests <= without.stats.n_tests
-            saved_somewhere |= (
-                with_caches.stats.n_tests < without.stats.n_tests
-            )
-        assert saved_somewhere
 
     def test_no_warnings_with_exact_oracle(self):
         rng = random.Random(11)
