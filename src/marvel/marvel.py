@@ -55,7 +55,7 @@ class MarvelCaches:
     """Cross-round memory.
 
     neighbor_info and vpa hold one entry per variable, filtered to survivors
-    on re-entry; a vpa entry is the frozenset of collider triples (x, y, t),
+    on re-entry; x's vpa entry is the frozenset of collider pairs (y, t),
     x -> y <- t with x, t nonadjacent. cond1_nosep records (x, {z, w})
     pairs proven inseparable by any set containing x; cond2_nosep records
     ({z, t}, {x, y}) combinations proven inseparable by any set containing
@@ -64,7 +64,7 @@ class MarvelCaches:
     """
 
     neighbor_info: dict[int, NeighborInfo] = field(default_factory=dict)
-    vpa: dict[int, frozenset[tuple[int, int, int]]] = field(default_factory=dict)
+    vpa: dict[int, frozenset[tuple[int, int]]] = field(default_factory=dict)
     cond1_nosep: set[tuple[int, frozenset[int]]] = field(default_factory=set)
     cond2_nosep: set[tuple[frozenset[int], frozenset[int]]] = field(
         default_factory=set
@@ -123,31 +123,30 @@ def find_vpa(
     mb_x: Iterable[int],
     oracle: CiOracle,
     caches: MarvelCaches,
-) -> frozenset[tuple[int, int, int]]:
-    """Colliders x -> y <- t between x and each of its co-parents t.
+) -> frozenset[tuple[int, int]]:
+    """Colliders x -> y <- t between x and each of its co-parents t, as
+    (y, t) pairs.
 
     A neighbor y is a common child of x and t iff y is outside the recorded
     sepset of t and no subset of mb_x | {x} - {y, t} separates y from t.
-    Cached across rounds; on re-entry triples are pruned to members that are
+    Cached across rounds; on re-entry pairs are pruned to members that are
     still live neighbors and co-parents, with zero new queries.
     """
     mb_x = frozenset(mb_x)
     cached = caches.vpa.get(x)
     if cached is not None:
         return frozenset(
-            (a, y, t)
-            for a, y, t in cached
-            if y in info.neighbors and t in info.sepsets
+            (y, t) for y, t in cached if y in info.neighbors and t in info.sepsets
         )
     pool_base = mb_x | {x}
-    triples = set()
+    colliders = set()
     for t, s_xt in sorted(info.sepsets.items()):
         for y in sorted(info.neighbors):
             if y in s_xt:
                 continue
             if oracle.search(y, t, pool_base - {y, t}) is None:
-                triples.add((x, y, t))
-    out = frozenset(triples)
+                colliders.add((y, t))
+    out = frozenset(colliders)
     caches.vpa[x] = out
     return out
 
@@ -178,7 +177,7 @@ def check_condition1(
 def check_condition2(
     x: int,
     info: NeighborInfo,
-    vpa: frozenset[tuple[int, int, int]],
+    vpa: frozenset[tuple[int, int]],
     mb_x: Iterable[int],
     oracle: CiOracle,
     caches: MarvelCaches,
@@ -191,7 +190,7 @@ def check_condition2(
     combinations are recorded in cond2_nosep and never retested.
     """
     mb_x = frozenset(mb_x)
-    for _, y, t in sorted(vpa):
+    for y, t in sorted(vpa):
         for z in sorted(info.neighbors - {y}):
             key = (frozenset((z, t)), frozenset((x, y)))
             if key in caches.cond2_nosep:
@@ -204,7 +203,7 @@ def check_condition2(
 
 def is_removable_ci(
     x: int, mb_x: Iterable[int], oracle: CiOracle, caches: MarvelCaches
-) -> tuple[bool, NeighborInfo, frozenset[tuple[int, int, int]]]:
+) -> tuple[bool, NeighborInfo, frozenset[tuple[int, int]]]:
     """Full removability battery for x against its current boundary.
 
     Composes neighbor discovery, the neighbor-pair condition, collider
@@ -351,7 +350,7 @@ def _eliminate(
             if first is None:
                 first = x, info
             pairs.update(_pair(x, y) for y in info.neighbors)
-            for _, y, t in sorted(vpa):
+            for y, t in sorted(vpa):
                 _orient(heads, x, y, warnings)
                 _orient(heads, t, y, warnings)
             if verdict:

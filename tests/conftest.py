@@ -1,7 +1,10 @@
-"""Shared test helpers: seeded random DAG samplers independent of synth."""
+"""Shared test helpers: seeded random DAG samplers independent of synth,
+and the one hypothesis DAG strategy."""
 
 import random
 from itertools import combinations
+
+from hypothesis import strategies as st
 
 from marvel.graph import Dag
 
@@ -24,3 +27,20 @@ def random_query(rng: random.Random, p: int) -> tuple[int, int, frozenset[int]]:
     rest = [v for v in range(p) if v not in (x, y)]
     k = rng.randint(0, len(rest))
     return x, y, frozenset(rng.sample(rest, k))
+
+
+@st.composite
+def small_dags(draw, min_p: int, max_p: int) -> Dag:
+    """A drawn subset of the pairs on min_p..max_p vertices, oriented by a
+    drawn vertex order."""
+    p = draw(st.integers(min_value=min_p, max_value=max_p))
+    pairs = list(combinations(range(p), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    order = draw(st.permutations(range(p)))
+    pos = {v: k for k, v in enumerate(order)}
+    edges = [
+        (i, j) if pos[i] < pos[j] else (j, i)
+        for (i, j), keep in zip(pairs, mask)
+        if keep
+    ]
+    return Dag(p, edges)

@@ -1,9 +1,9 @@
 """CI oracle tests: accounting exactness, Fisher-Z behavior, partial correlation.
 
 Numeric expectations were derived independently: the z value for rho=0.5 at
-n=100 from the transform definition, the single-edge correlation from the
-closed-form covariance of a two-variable linear model, and the population
-partial correlations from analytic covariance matrices.
+n=100 from the transform definition, and the single-edge correlation from
+the closed-form covariance of a two-variable linear model. The population
+partial correlations are taken from ``reference.population_covariance``.
 """
 
 import gc
@@ -21,7 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import random_dag, random_query
-from reference import d_separated_bruteforce, markov_boundary_graphical
+from reference import (
+    d_separated_bruteforce,
+    markov_boundary_graphical,
+    population_covariance,
+)
 from marvel import ci, graph
 from marvel.ci import (
     CiStats,
@@ -36,18 +40,7 @@ from marvel.ci import (
 from marvel.graph import AllBut, Dag, Pdag, d_separated
 from marvel.marvel import marvel_learn
 from marvel.mb import total_conditioning
-from marvel.synth import fixed_indegree_dag, random_scm, sample
-
-
-def population_corr(p, edges_with_coeffs, noise_var):
-    """Closed-form correlation of the linear model x = B^T x + eps."""
-    b = np.zeros((p, p))
-    for (i, j), c in edges_with_coeffs.items():
-        b[i, j] = c
-    a = np.linalg.inv(np.eye(p) - b.T)
-    cov = a @ np.diag(noise_var) @ a.T
-    d = np.sqrt(np.diag(cov))
-    return cov / np.outer(d, d)
+from marvel.synth import ScmSpec, random_scm, sample
 
 
 # Symmetric with unit diagonal and a positive definite {2, 3} block, but
@@ -141,14 +134,6 @@ class TestDsepOracle:
             o = dsep_oracle(g)
             x, y, s = random_query(rng, g.p)
             assert o.query(x, y, s) == d_separated(g, x, y, s)
-
-    def test_symmetric(self):
-        rng = random.Random(67)
-        g = random_dag(rng, 8)
-        o = dsep_oracle(g)
-        for _ in range(50):
-            x, y, s = random_query(rng, g.p)
-            assert o.query(x, y, s) == o.query(y, x, s)
 
     def test_undecided_counters_stay_zero(self):
         o = dsep_oracle(Dag(3, [(0, 1)]))
@@ -276,22 +261,6 @@ class TestQueryValidation:
         for (x, y, s), plain in mixed_uint64_queries():
             assert o.query(x, y, s) == o.query(*plain)
         assert o.stats().n_tests == 2 * len(mixed_uint64_queries())
-
-    @pytest.mark.parametrize("query", [(0, 2 + 0j, ()), (0, 1, [2 + 0j])])
-    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=MAKE_ORACLE_IDS)
-    def test_query_that_raises_is_not_counted(self, make, query):
-        # 2+0j equals vertex 2, so it passes check_query; the kernel then
-        # rejects it as an index, as does the degenerate branch, which
-        # repeats that check, and the query must leave every counter as it
-        # was.
-        o = make()
-        o.query(0, 1, ())
-        start = o.stats()
-        o.query(0, 2, [1])
-        before = (o.stats(), o.stats() - start, o.n_degenerate)
-        with pytest.raises(TypeError):
-            o.query(*query)
-        assert (o.stats(), o.stats() - start, o.n_degenerate) == before
 
     @pytest.mark.parametrize(
         "p, s",
@@ -565,14 +534,6 @@ class TestAllButQueries:
             assert answer == (y not in markov_boundary_graphical(g, x))
             assert answer == d_separated_bruteforce(g, x, y, s)
 
-    def test_moral_row_answers_at_p_150(self):
-        g = fixed_indegree_dag(150, 4, 0)
-        o = dsep_oracle(g)
-        for x, y in combinations(range(g.p), 2):
-            answer = o.query(x, y, AllBut(g.p, x, y))
-            assert answer == (y not in markov_boundary_graphical(g, x))
-        assert o.stats() == CiStats({148: 150 * 149 // 2})
-
     @settings(max_examples=100, deadline=None)
     @given(all_but_queries())
     def test_partial_correlation_identical(self, case):
@@ -773,6 +734,13 @@ class TestDataset:
         assert np.allclose(d.values, d2.values, atol=1e-9)
 
 
+def unit_noise_covariance(p, coeffs):
+    """Population covariance of the unit-noise model whose edges are the
+    keys of ``coeffs``. Partial correlation given a nonempty set is
+    scale-free, so the kernel takes the covariance as it is."""
+    return population_covariance(ScmSpec(Dag(p, coeffs), coeffs, (1.0,) * p))
+
+
 class TestPartialCorrelation:
     def test_marginal_case_returns_corr_entry(self):
         rng = np.random.default_rng(3)
@@ -783,25 +751,27 @@ class TestPartialCorrelation:
 
     def test_population_chain_vanishes(self):
         # 0 -> 1 -> 2: partialling out the middle removes all correlation
-        corr = population_corr(
-            3, {(0, 1): 0.8, (1, 2): -0.7}, np.array([1.0, 1.0, 1.0])
-        )
-        assert partial_correlation_from_corr(corr, 0, 2, (1,)) == pytest.approx(
+        cov = unit_noise_covariance(3, {(0, 1): 0.8, (1, 2): -0.7})
+        assert partial_correlation_from_corr(cov, 0, 2, (1,)) == pytest.approx(
             0.0, abs=1e-10
         )
 
     def test_population_collider_opens(self):
         # 0 -> 2 <- 1: marginally zero, nonzero given the collider
-        corr = population_corr(3, {(0, 2): 0.9, (1, 2): 0.9}, np.ones(3))
-        assert partial_correlation_from_corr(corr, 0, 1, ()) == pytest.approx(
+        cov = unit_noise_covariance(3, {(0, 2): 0.9, (1, 2): 0.9})
+        assert partial_correlation_from_corr(cov, 0, 1, ()) == pytest.approx(
             0.0, abs=1e-12
         )
-        assert abs(partial_correlation_from_corr(corr, 0, 1, (2,))) > 0.3
+        assert abs(partial_correlation_from_corr(cov, 0, 1, (2,))) > 0.3
 
     def test_single_edge_closed_form(self):
+        # 0 -> 1 beside an isolated 2: given 2, the correlation c / sqrt(1 + c^2)
+        # of a unit-noise edge
         for c in (0.5, 1.0, -2.0):
-            corr = population_corr(2, {(0, 1): c}, np.ones(2))
-            assert corr[0, 1] == pytest.approx(c / sqrt(1 + c * c), abs=1e-12)
+            cov = unit_noise_covariance(3, {(0, 1): c})
+            assert partial_correlation_from_corr(cov, 0, 1, (2,)) == pytest.approx(
+                c / sqrt(1 + c * c), abs=1e-12
+            )
 
     def test_clamped(self):
         corr = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -1043,16 +1013,3 @@ class TestFisherZ:
         big = fisher_z_oracle(dataset(200000), alpha=0.05)
         assert small.query(0, 1, ())
         assert not big.query(0, 1, ())
-
-    def test_quick_calibration(self):
-        # ~5% rejection under the null at alpha = 0.05; full-strength check
-        # with tighter bounds lives in the acceptance suite
-        rng = np.random.default_rng(11)
-        rejects = 0
-        trials = 200
-        for _ in range(trials):
-            d = Dataset(rng.normal(size=(500, 2)))
-            o = fisher_z_oracle(d, alpha=0.05)
-            if not o.query(0, 1, ()):
-                rejects += 1
-        assert 0.01 <= rejects / trials <= 0.10

@@ -34,8 +34,11 @@ positional argument, outside the function's own body: a default no run
 overrides is a mode no run takes, so a variant only the tests select, such
 as the learner without its caches, belongs in ``tests/reference.py`` too.
 A call of a class, or of a module-level alias of it such as
-``fisher_z_oracle``, gives values to its ``__init__``. Only ``cli.main``'s
-``argv`` is exempt: it is how the tests drive the entry point in-process.
+``fisher_z_oracle``, gives values to its ``__init__``. A call of a name
+bound outside the package gives none: ``worker.solve(...)``, on a module
+imported from outside it, or a perfbench script's call of its own
+``solve``. Only ``cli.main``'s ``argv`` is exempt: it is how the tests
+drive the entry point in-process.
 
 No package class inherits from outside the package: a base such as
 ``argparse.ArgumentParser``, ``collections.abc.Set`` or ``dict`` would
@@ -542,11 +545,36 @@ def defaults(entries):
     return found
 
 
+def outside_calls(tree, own):
+    """Every call ``f(...)`` or ``f.g(...)`` in the tree whose f names no
+    package code: a name the tree imports from outside the package or,
+    where ``own`` is true (a perfbench script such as ``worker``), a name
+    the tree itself defines."""
+    nodes = [node for _, node in scoped_nodes(tree)]
+    outside = {
+        alias.asname or alias.name.split(".")[0]
+        for node in nodes
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not getattr(node, "level", 0)
+        for alias in node.names
+        if (getattr(node, "module", None) or alias.name).split(".")[0] != "marvel"
+    }
+    if own:
+        outside |= {node.name for node in nodes if isinstance(node, DEFINITIONS)}
+    return {
+        node
+        for node in nodes
+        if isinstance(node, ast.Call)
+        and getattr(getattr(node.func, "value", node.func), "id", None) in outside
+    }
+
+
 def unserved_parameters(package, others):
     """"module.function(parameter)" of every defaulted parameter that no call
     ``name(...)`` or ``<expr>.name(...)`` gives a value; a module-level
     alias such as ``fisher_z_oracle = FisherZOracle`` resolves to its
-    target. ``PARAMETER_EXEMPT`` is skipped."""
+    target. A call that ``outside_calls`` finds serves nothing.
+    ``PARAMETER_EXEMPT`` is skipped."""
     entries = index(package, others)
     aliases = {
         node.targets[0].id: node.value.id
@@ -555,9 +583,13 @@ def unserved_parameters(package, others):
         and isinstance(node.value, ast.Name)
         and [type(t) for t in node.targets] == [ast.Name]
     }
+    outside = set().union(
+        *(outside_calls(tree, False) for tree in package.values()),
+        *(outside_calls(tree, True) for tree in others),
+    )
 
     def callee(node):
-        if isinstance(node, ast.Call):
+        if isinstance(node, ast.Call) and node not in outside:
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             return aliases.get(name, name)
         return None
@@ -600,7 +632,11 @@ def test_rule_catches_an_unserved_parameter():
         ),
         "cli.py": "def main(argv=None):\n    pass\n",
     }
-    others = ["def report(g):\n    return g.scaled(scale=2.0)\n"]
+    others = [
+        "def report(g):\n    return g.scaled(scale=2.0)\n",
+        "import worker\nworker.solve(None, 'pc', True)\n",
+        "def solve(mv, algo, record):\n    pass\nsolve(None, 'pc', True)\n",
+    ]
     assert unserved_parameters(
         {name: ast.parse(code) for name, code in package.items()},
         [ast.parse(code) for code in others],

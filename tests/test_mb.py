@@ -2,11 +2,11 @@
 
 Total conditioning is validated against the structural boundary definition;
 the removal update is validated against recomputing total conditioning on
-the induced subgraph (the acceptance suite runs the full-strength version).
+the induced subgraph, here after removing a random removable vertex and in
+``test_acceptance.py::test_07`` after removing the first one.
 """
 
 import random
-from itertools import combinations
 
 import pytest
 

@@ -1,7 +1,9 @@
 """README.md's library quickstart, run as written, and the names it cites."""
 
 import contextlib
+import importlib
 import io
+import pkgutil
 import re
 from functools import reduce
 from pathlib import Path
@@ -55,10 +57,15 @@ def test_quickstart_blocks_run_and_match_their_comments():
 
 def test_cited_names_resolve():
     # marvel.… against the package; result.… and oracle.… on the exact
-    # quickstart's objects; any other head, a module such as graph or a
-    # class such as CiOracle, against the package's namespace.
+    # quickstart's objects; a package module such as cli, imported by
+    # name, so the answer does not hang on what other tests imported; any
+    # other head, a class such as CiOracle, against the package's namespace.
     ns = run_exact_quickstart()
-    roots = {"marvel": marvel, "result": ns["result"], "oracle": ns["oracle"]}
+    roots = {
+        module.name: importlib.import_module(f"marvel.{module.name}")
+        for module in pkgutil.iter_modules(marvel.__path__)
+    }
+    roots.update(marvel=marvel, result=ns["result"], oracle=ns["oracle"])
     names = list(dotted_names())
     assert "result.warnings" in names
     unresolved = []
