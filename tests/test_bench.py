@@ -315,6 +315,11 @@ class TestRunExperiment:
         for row in run_experiment(DSEP_CFG)[:-1]:
             assert (row["precision"], row["recall"], row["f1"]) == (1, 1, 1)
 
+    def test_budget_holds_per_run(self):
+        bound = ci_budget_bound(10, 2)
+        for row in run_experiment(DSEP_CFG)[:-1]:
+            assert row["post_tests"] <= bound
+
     def test_budget_columns_follow_warnings(self):
         assert CSV_COLUMNS[14:] == ("warnings", "budget", "within_budget")
         rows = run_experiment(DSEP_CFG)

@@ -40,7 +40,7 @@ from marvel.ci import (
 from marvel.graph import AllBut, Dag, Pdag, d_separated
 from marvel.marvel import marvel_learn
 from marvel.mb import total_conditioning
-from marvel.synth import ScmSpec, random_scm, sample
+from marvel.synth import ScmSpec, fixed_indegree_dag, random_scm, sample
 
 
 # Symmetric with unit diagonal and a positive definite {2, 3} block, but
@@ -134,6 +134,14 @@ class TestDsepOracle:
             o = dsep_oracle(g)
             x, y, s = random_query(rng, g.p)
             assert o.query(x, y, s) == d_separated(g, x, y, s)
+
+    def test_symmetric(self):
+        rng = random.Random(67)
+        g = random_dag(rng, 8)
+        o = dsep_oracle(g)
+        for _ in range(50):
+            x, y, s = random_query(rng, g.p)
+            assert o.query(x, y, s) == o.query(y, x, s)
 
     def test_undecided_counters_stay_zero(self):
         o = dsep_oracle(Dag(3, [(0, 1)]))
@@ -261,6 +269,22 @@ class TestQueryValidation:
         for (x, y, s), plain in mixed_uint64_queries():
             assert o.query(x, y, s) == o.query(*plain)
         assert o.stats().n_tests == 2 * len(mixed_uint64_queries())
+
+    @pytest.mark.parametrize("query", [(0, 2 + 0j, ()), (0, 1, [2 + 0j])])
+    @pytest.mark.parametrize("make", MAKE_ORACLE, ids=MAKE_ORACLE_IDS)
+    def test_query_that_raises_is_not_counted(self, make, query):
+        # 2+0j equals vertex 2, so it passes check_query; the kernel then
+        # rejects it as an index, as does the degenerate branch, which
+        # repeats that check, and the query must leave every counter as it
+        # was.
+        o = make()
+        o.query(0, 1, ())
+        start = o.stats()
+        o.query(0, 2, [1])
+        before = (o.stats(), o.stats() - start, o.n_degenerate)
+        with pytest.raises(TypeError):
+            o.query(*query)
+        assert (o.stats(), o.stats() - start, o.n_degenerate) == before
 
     @pytest.mark.parametrize(
         "p, s",
@@ -533,6 +557,14 @@ class TestAllButQueries:
             assert o.stats() - before == CiStats({p - 2: 1})
             assert answer == (y not in markov_boundary_graphical(g, x))
             assert answer == d_separated_bruteforce(g, x, y, s)
+
+    def test_moral_row_answers_at_p_150(self):
+        g = fixed_indegree_dag(150, 4, 0)
+        o = dsep_oracle(g)
+        for x, y in combinations(range(g.p), 2):
+            answer = o.query(x, y, AllBut(g.p, x, y))
+            assert answer == (y not in markov_boundary_graphical(g, x))
+        assert o.stats() == CiStats({148: 150 * 149 // 2})
 
     @settings(max_examples=100, deadline=None)
     @given(all_but_queries())
@@ -1013,3 +1045,16 @@ class TestFisherZ:
         big = fisher_z_oracle(dataset(200000), alpha=0.05)
         assert small.query(0, 1, ())
         assert not big.query(0, 1, ())
+
+    def test_quick_calibration(self):
+        # ~5% rejection under the null at alpha = 0.05; full-strength check
+        # with tighter bounds lives in the acceptance suite
+        rng = np.random.default_rng(11)
+        rejects = 0
+        trials = 200
+        for _ in range(trials):
+            d = Dataset(rng.normal(size=(500, 2)))
+            o = fisher_z_oracle(d, alpha=0.05)
+            if not o.query(0, 1, ()):
+                rejects += 1
+        assert 0.01 <= rejects / trials <= 0.10

@@ -157,6 +157,13 @@ class TestDSeparation:
         s = data.draw(st.sets(st.sampled_from(rest)) if rest else st.just(set()))
         assert d_separated(g, x, y, s) == d_separated_bruteforce(g, x, y, s)
 
+    def test_matches_bruteforce_seeded(self):
+        rng = random.Random(42)
+        for _ in range(300):
+            g = random_dag(rng, rng.randint(2, 8))
+            x, y, s = random_query(rng, g.p)
+            assert d_separated(g, x, y, s) == d_separated_bruteforce(g, x, y, s)
+
     @pytest.mark.parametrize("p", [70, 150])
     def test_matches_moral_reference_past_64_vertices(self, p):
         # Sets both smaller and larger than p/2; the reference is built from
@@ -343,6 +350,16 @@ class TestAllBut:
             check_query(6, 4, 6, AllBut(6, 4, 6))
         with pytest.raises(ValueError, match="endpoints must differ"):
             check_query(6, 4, 4, AllBut(6, 4, 4))
+
+    def test_d_separated_matches_the_frozenset(self):
+        rng = random.Random(83)
+        for _ in range(100):
+            g = random_dag(rng, rng.randint(2, 9))
+            x, y = rng.sample(range(g.p), 2)
+            s = frozenset(range(g.p)) - {x, y}
+            want = d_separated_bruteforce(g, x, y, s)
+            assert d_separated(g, x, y, AllBut(g.p, x, y)) == want
+            assert d_separated_bruteforce(g, x, y, AllBut(g.p, x, y)) == want
 
 
 class TestDescendants:
