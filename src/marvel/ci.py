@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import AllBut, Dag, check_query, d_separated
+from .graph import REST, Dag, check_query, d_separated
 
 
 @dataclass(frozen=True)
@@ -63,20 +63,19 @@ class CiOracle:
     """Base oracle: ``query``, ``search`` and ``stats`` around ``_decide``.
 
     Subclasses set ``self.p`` and implement ``_decide(x, y, s)``. It gets s
-    as a frozenset, or, during total conditioning, as ``AllBut(p, x, y)``:
-    ``query`` passes any ``AllBut`` through unconverted and turns every
-    other input into a frozenset; ``check_query`` rejects an ``AllBut``
-    whose p, x or y differ from the query's. ``_decide`` owns argument
-    validation: it must reject a bad query with ``check_query``'s errors
-    before deciding anything. A query is counted only after ``_decide``
-    returns, so a rejected one counts nothing. Each query is validated
-    once, by the kernel that decides it: ``d_separated`` for ``DsepOracle``
-    and ``partial_correlation_from_corr`` for ``FisherZOracle``, which
-    repeats the kernel's checks itself only for the degenerate queries that
-    never reach it. Both kernels take an ``AllBut`` as it is:
-    ``d_separated`` answers it from the moral row, independent exactly when
-    y is off x's Markov blanket, and the Fisher-Z kernel reads it through
-    ``sorted(s)``.
+    as a frozenset, or, during total conditioning, as ``graph.REST``, every
+    vertex but x and y: ``query`` passes ``REST`` through unconverted,
+    counts it at |S| = p - 2, and turns every other input into a
+    frozenset. ``_decide`` owns argument validation: it must reject a bad
+    query with ``check_query``'s errors before deciding anything. A query
+    is counted only after ``_decide`` returns, so a rejected one counts
+    nothing. Each query is validated once, by the kernel that decides it:
+    ``d_separated`` for ``DsepOracle`` and ``partial_correlation_from_corr``
+    for ``FisherZOracle``, which repeats the kernel's checks itself only
+    for the degenerate queries that never reach it. Both kernels take ``REST`` as it is: ``d_separated``
+    answers it from the moral row, independent exactly when y is off x's
+    Markov blanket, and the Fisher-Z kernel gathers every vertex but x and
+    y in ascending order.
 
     ``search(x, y, pool, base, sizes)`` is the one subset search the
     learners use, and the only place that knows the enumeration order. It
@@ -101,11 +100,11 @@ class CiOracle:
         self._by_size: dict[int, int] = {}
 
     def query(self, x: int, y: int, s: Iterable[int] = ()) -> bool:
-        if type(s) is not AllBut:
+        if s is not REST:
             s = frozenset(s)
         answer = self._decide(x, y, s)
         # Counted only once answered, so a query that raises leaves no trace.
-        k = len(s)
+        k = self.p - 2 if s is REST else len(s)
         self._by_size[k] = self._by_size.get(k, 0) + 1
         return answer
 
@@ -143,7 +142,7 @@ class CiOracle:
                     return s
         return None
 
-    def _decide(self, x: int, y: int, s: frozenset[int] | AllBut) -> bool:
+    def _decide(self, x: int, y: int, s: frozenset[int] | object) -> bool:
         raise NotImplementedError
 
     def stats(self) -> CiStats:
@@ -161,7 +160,7 @@ class DsepOracle(CiOracle):
         self.dag = dag
         self.p = dag.p
 
-    def _decide(self, x: int, y: int, s: frozenset[int] | AllBut) -> bool:
+    def _decide(self, x: int, y: int, s: frozenset[int] | object) -> bool:
         return d_separated(self.dag, x, y, s)
 
 
@@ -257,22 +256,28 @@ def dpotrf(*args, **kwargs):
 def partial_correlation_from_corr(corr: np.ndarray, x: int, y: int, s) -> float:
     """Partial correlation of x, y given s from a correlation matrix.
 
-    Gathers the submatrix over the order [*sorted(s), x, y] and factors it
-    once with a lower Cholesky factorization, L L^T. The trailing 2x2 block
-    L22 of the factor satisfies L22 L22^T = the Schur complement of the s
-    block, which is the conditional covariance of (x, y) given s, so with
-    L22 = [[., 0], [a, b]] the partial correlation is a / sqrt(a^2 + b^2).
+    Gathers the submatrix over the order [*sorted(s), x, y] (for ``REST``,
+    every vertex but x and y in ascending order, then x and y) and factors
+    it once with a lower Cholesky factorization, L L^T. The trailing 2x2
+    block L22 of the factor satisfies L22 L22^T = the Schur complement of
+    the s block, which is the conditional covariance of (x, y) given s, so
+    with L22 = [[., 0], [a, b]] the partial correlation is
+    a / sqrt(a^2 + b^2).
     A submatrix that is not positive definite (singular or indefinite)
     raises LinAlgError rather than returning a silent junk value. Output is
     clamped to +-(1 - 1e-7) so the Fisher transform stays finite.
     The vertices index ``corr`` as given: a float or complex one raises
     TypeError.
     """
-    s = check_query(corr.shape[0], x, y, s)
-    if not s:
-        r = float(corr[index(x), index(y)])
+    p = corr.shape[0]
+    s = check_query(p, x, y, s)
+    if s is REST:
+        idx = [v for v in range(p) if v != x and v != y]
     else:
         idx = sorted(s)
+    if not idx:
+        r = float(corr[index(x), index(y)])
+    else:
         idx.append(x)
         idx.append(y)
         # One array serves both gathers. Only a non-integer one (a float or
@@ -327,13 +332,15 @@ class FisherZOracle(CiOracle):
         # wraps; calling it directly spares importing all of scipy.stats.
         self.z_threshold = float(ndtri(1.0 - alpha / 2.0))
 
-    def _decide(self, x: int, y: int, s: frozenset[int] | AllBut) -> bool:
+    def _decide(self, x: int, y: int, s: frozenset[int] | object) -> bool:
         n = self.n
-        if n <= len(s) + 3:
+        k = self.p - 2 if s is REST else len(s)
+        if n <= k + 3:
             # This branch never reaches the kernel, so it repeats the
             # kernel's checks: check_query, then the integer rule that
             # raises TypeError for a vertex such as 2.0 or 2+0j.
-            for v in (x, y, *check_query(self.p, x, y, s)):
+            check_query(self.p, x, y, s)
+            for v in (x, y, *(() if s is REST else s)):
                 index(v)
             self.n_degenerate += 1
             return False
@@ -342,7 +349,7 @@ class FisherZOracle(CiOracle):
         except np.linalg.LinAlgError:
             self.n_singular += 1
             return False
-        z = sqrt(n - len(s) - 3) * atanh(r)
+        z = sqrt(n - k - 3) * atanh(r)
         return abs(z) <= self.z_threshold
 
 

@@ -4,9 +4,10 @@ Vertices are always 0..p-1. ``Dag`` and ``Pdag`` are immutable value types
 and every operation in this module is a pure function.
 
 Vertex sets are plain frozensets at the API boundary, apart from the
-``AllBut`` token that stands for the conditioning set of a total-conditioning
-query; whenever iteration order matters they are sorted first so that
-identical inputs give identical outputs.
+constant ``REST``, which stands for the conditioning set of a
+total-conditioning query: every vertex but the query's x and y. Whenever
+iteration order matters sets are sorted first so that identical inputs
+give identical outputs.
 """
 
 from __future__ import annotations
@@ -201,41 +202,17 @@ def _vertices(p: int) -> frozenset[int]:
     return frozenset(range(p))
 
 
-class AllBut:
-    """Every vertex of 0..p-1 except x and y: the conditioning set of total
-    conditioning, held as its three fields and never built.
-
-    A token, not a set: it has a length, p - 2 (0 for a token with p < 2,
-    which fits no query), and iterates its members in ascending order,
-    which is all the query path reads. ``check_query`` accepts it only as
-    the conditioning set of its own query, one with the same p, x and y,
-    and checks x and y there; any other raises.
-    ``d_separated`` never reads its members: given every other vertex, x
-    and y are d-separated exactly when y is off x's moral row (its Markov
-    blanket), which ``Dag`` precomputes.
-    """
-
-    __slots__ = ("p", "x", "y")
-
-    def __init__(self, p: int, x: int, y: int) -> None:
-        self.p = p
-        self.x = x
-        self.y = y
-
-    def __iter__(self) -> Iterator[int]:
-        x, y = self.x, self.y
-        return (v for v in range(self.p) if v != x and v != y)
-
-    def __len__(self) -> int:
-        # Never negative, so a mismatched token reaches check_query's error.
-        return self.p - 2 if self.p > 2 else 0
+REST = object()
+"""The conditioning set of total conditioning: every vertex of the query's
+0..p-1 but its own x and y. A constant, not a set: it names no p and no
+pair, so it is never built and has no members to check."""
 
 
 def check_query(
     p: int, x: int, y: int, s: Iterable[int]
-) -> frozenset[int] | AllBut:
+) -> frozenset[int] | object:
     """Validate a CI query over vertices 0..p-1; returns s as a frozenset,
-    or the query's own ``AllBut`` as it is.
+    or ``REST`` as it is.
 
     Every query entry point (the oracles, d-separation, partial correlation)
     checks its arguments here, so all of them reject the same inputs with
@@ -245,26 +222,20 @@ def check_query(
     ValueError here; 2.0 or 2+0j passes, and the kernel that indexes with
     it raises TypeError. Nothing converts a vertex.
 
-    An ``AllBut`` must be ``AllBut(p, x, y)`` of this very query, or
-    ValueError is raised. Then only x and y are checked: its members are
-    vertices other than x and y by construction.
+    For ``REST`` only x and y are checked: its members are the query's
+    other vertices by definition.
     """
-    own = type(s) is AllBut
-    if not own:
+    rest = s is REST
+    if not rest:
         s = frozenset(s)
-    elif s.p != p or s.x != x or s.y != y:
-        raise ValueError(
-            f"AllBut({s.p!r}, {s.x!r}, {s.y!r}) is not the conditioning "
-            f"set of query ({x!r}, {y!r}) for p={p}"
-        )
     vertices = _vertices(p)
-    if not (x in vertices and y in vertices and (own or s <= vertices)):
-        for v in (x, y, *s):
+    if not (x in vertices and y in vertices and (rest or s <= vertices)):
+        for v in (x, y, *(() if rest else s)):
             if v not in vertices:
                 raise ValueError(f"vertex {v!r} out of range for p={p}")
     if x == y:
         raise ValueError("query endpoints must differ")
-    if not own and (x in s or y in s):
+    if not rest and (x in s or y in s):
         raise ValueError("conditioning set may not contain the endpoints")
     return s
 
@@ -279,13 +250,13 @@ def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
     are unbounded, so any vertex count works.
 
     Total conditioning is answered from the moral row alone. Given
-    ``AllBut(g.p, x, y)``, which ``check_query`` passes through, x and y are
-    d-separated exactly when y is off x's moral row, its Markov blanket: a
-    pair on the row is adjacent or has a common child, which lies in s, so
-    a path of at most two edges is open; for any other pair x's whole row
-    lies in s, and in the moral graph of the ancestral set x's neighbors
-    are a subset of that row, so no path leaves x outside s. No mask of s
-    is built. Every other s is encoded from its own elements.
+    ``REST``, which ``check_query`` passes through, x and y are d-separated
+    exactly when y is off x's moral row, its Markov blanket: a pair on the
+    row is adjacent or has a common child, which lies in s, so a path of at
+    most two edges is open; for any other pair x's whole row lies in s, and
+    in the moral graph of the ancestral set x's neighbors are a subset of
+    that row, so no path leaves x outside s. No mask of s is built. Every
+    other s is encoded from its own elements.
 
     Answers "d-connected" at once when an open path of at most two edges
     joins x and y: an edge; a vertex outside s that is a common parent of
@@ -303,8 +274,7 @@ def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
     """
     s = check_query(g.p, x, y, s)
     bits = g._bits
-    if type(s) is AllBut:
-        # check_query passes on only the AllBut of this very query.
+    if s is REST:
         return not g._mmask[x] & bits[y]
     smask = 0
     for v in s:

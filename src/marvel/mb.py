@@ -14,7 +14,7 @@ from operator import index
 from typing import Iterable
 
 from .ci import CiOracle
-from .graph import AllBut, _check_vertex_count
+from .graph import REST, _check_vertex_count
 
 
 class MbMap:
@@ -57,7 +57,7 @@ def total_conditioning(oracle: CiOracle) -> MbMap:
     For each of the C(p, 2) pairs of the oracle's p variables, x and y
     belong to each other's boundary iff they are dependent given all
     remaining variables. Performs exactly C(p, 2) queries. Each is asked
-    with the token ``AllBut(p, x, y)`` in place of that set, which is never
+    with the constant ``graph.REST`` in place of that set, which is never
     built, so a query costs no set work of size p. On the exact oracle each
     answer is read off the moral row: ``d_separated`` returns independent
     exactly when y is off x's Markov blanket, so the boundary map equals
@@ -66,7 +66,7 @@ def total_conditioning(oracle: CiOracle) -> MbMap:
     p = oracle.p
     m = MbMap(p)
     for x, y in combinations(range(p), 2):
-        if not oracle.query(x, y, AllBut(p, x, y)):
+        if not oracle.query(x, y, REST):
             m.mb[x].add(y)
             m.mb[y].add(x)
     return m

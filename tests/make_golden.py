@@ -2,6 +2,11 @@
 digests of seeded runs.
 
   PYTHONPATH=src python3 tests/make_golden.py
+  PYTHONPATH=src python3 tests/make_golden.py --check
+
+With ``--check`` both files are regenerated in memory and compared with the
+committed ones, and nothing is written. When they differ, it names the first
+key that differs and exits with status 1.
 
 Every instance of ``GRID`` is a generated DAG, a fresh d-separation oracle,
 boundary discovery by total conditioning and one learner: ``marvel_learn``,
@@ -28,6 +33,7 @@ count pass.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -39,7 +45,7 @@ import scipy
 from reference import marvel_learn_uncached
 from marvel.bench import generate_dag, pc_baseline, simulate_dataset
 from marvel.ci import Dataset, DsepOracle, FisherZOracle
-from marvel.graph import AllBut
+from marvel.graph import REST
 from marvel.marvel import LearnResult, marvel_learn
 from marvel.mb import total_conditioning
 
@@ -98,23 +104,35 @@ class Recording:
     """Mixin, put before an oracle class, that logs every query it counts.
 
     It overrides ``_decide``, so every query goes through the real
-    ``CiOracle.query``, ``AllBut`` pass-through included. A query is logged
+    ``CiOracle.query``, ``REST`` pass-through included. A query is logged
     only once ``_decide`` has returned, which is when ``query`` counts it,
     so ``log`` holds exactly the counted queries and ``answers`` their
-    answers. ``all_but`` counts those asked with an ``AllBut`` token, as
-    total conditioning asks.
+    answers. ``rest`` counts those asked with ``REST``, as total
+    conditioning asks, and each is logged as the set it stands for.
+
+    With a ``budget``, the query after the first ``budget`` raises
+    AssertionError naming ``name``, before it is decided: a run that asks
+    more queries than its record holds fails at once instead of running on.
     """
 
-    def __init__(self, *args) -> None:
+    def __init__(self, *args, budget=None, name="") -> None:
         super().__init__(*args)
         self.vertices = frozenset(range(self.p))
         self.log: list[tuple[int, int, int, tuple[int, ...]]] = []
         self.answers: list[bool] = []
-        self.all_but = 0
+        self.rest = 0
+        self.budget = budget
+        self.name = name
 
     def _decide(self, x, y, s):
+        if self.budget is not None and len(self.log) >= self.budget:
+            raise AssertionError(
+                f"{self.name}: more than the recorded {self.budget} queries"
+            )
         answer = super()._decide(x, y, s)
-        self.all_but += type(s) is AllBut
+        if s is REST:
+            self.rest += 1
+            s = self.vertices - {x, y}
         # A set of more than half the vertices is written as its complement,
         # which keeps total conditioning at p=150 cheap to record; its size
         # makes the encoding unambiguous.
@@ -156,24 +174,36 @@ def versions() -> dict:
     return {"numpy": numpy.__version__, "scipy": scipy.__version__}
 
 
-def run_instance(graph, algo) -> tuple[dict, RecordingOracle, LearnResult]:
-    """One exact solve's record, the oracle that answered it and the result."""
+def run_instance(
+    graph, algo, budget=None
+) -> tuple[dict, RecordingOracle, LearnResult]:
+    """One exact solve's record, the oracle that answered it and the result;
+    a run that asks more than ``budget`` queries raises AssertionError."""
     generator, p, seed, m, delta_in = graph
-    oracle = RecordingOracle(generate_dag(generator, p, seed, m, delta_in))
+    oracle = RecordingOracle(
+        generate_dag(generator, p, seed, m, delta_in),
+        budget=budget,
+        name=instance_key(graph, algo),
+    )
     record, res = record_solve(oracle, algo)
     return record, oracle, res
 
 
-def run_fisher_z(cell, algo) -> tuple[dict, RecordingFisherZ, LearnResult]:
+def run_fisher_z(
+    cell, algo, budget=None
+) -> tuple[dict, RecordingFisherZ, LearnResult]:
     """One Fisher-Z solve's record, the oracle that answered it and the
-    result."""
+    result; a run that asks more than ``budget`` queries raises
+    AssertionError."""
     (generator, p, seed, m, delta_in), n, alpha, duplicated = cell
     data = simulate_dataset(generate_dag(generator, p, seed, m, delta_in), n, seed)
     if duplicated:
         values = data.values.copy()
         values[:, -1] = values[:, 0]
         data = Dataset(values)
-    oracle = RecordingFisherZ(data, alpha)
+    oracle = RecordingFisherZ(
+        data, alpha, budget=budget, name=fisher_z_key(cell, algo)
+    )
     record, res = record_solve(oracle, algo)
     record["queries"] = _digest(sorted(zip(oracle.log, oracle.answers)))
     record["warnings"] = res.warnings
@@ -202,19 +232,47 @@ def record_solve(oracle, algo) -> tuple[dict, LearnResult]:
     return record, res
 
 
-def write(path, records: dict) -> None:
+def render(records: dict) -> str:
     """One line per entry, so a diff of the file names the moved records."""
     lines = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in records.items()]
-    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"{path.name}: {len(lines)} entries")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def first_difference(path, records: dict) -> str | None:
+    """The first key, in the file's order and then the run's, whose entry
+    in the file at ``path`` differs from the run's, or None."""
+    committed = json.loads(path.read_text())
+    records = json.loads(render(records))
+    for key in [*committed, *records]:
+        if committed.get(key) != records.get(key):
+            return key
+    return None
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare fresh runs with the files and write nothing",
+    )
+    check = parser.parse_args().check
     exact = {instance_key(*inst): run_instance(*inst)[0] for inst in GRID}
-    write(GOLDEN_PATH, exact)
     fisher_z = {fisher_z_key(*inst): run_fisher_z(*inst)[0] for inst in FISHER_Z_GRID}
-    write(FISHER_Z_PATH, {"versions": versions(), **fisher_z})
-    return 0
+    status = 0
+    for path, records in (
+        (GOLDEN_PATH, exact),
+        (FISHER_Z_PATH, {"versions": versions(), **fisher_z}),
+    ):
+        if not check:
+            path.write_text(render(records))
+            print(f"{path.name}: {len(records)} entries")
+        elif (key := first_difference(path, records)) is not None:
+            print(f"{path.name}: differs first at {key!r}")
+            status = 1
+        else:
+            print(f"{path.name}: {len(records)} entries, no difference")
+    return status
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from marvel.ci import (
     partial_correlation_from_corr,
     save_dataset,
 )
-from marvel.graph import AllBut, Dag, Pdag, d_separated
+from marvel.graph import REST, Dag, Pdag, d_separated
 from marvel.marvel import marvel_learn
 from marvel.mb import total_conditioning
 from marvel.synth import ScmSpec, fixed_indegree_dag, random_scm, sample
@@ -171,26 +171,26 @@ KERNELS = {
 
 def non_integer_queries(v):
     """Queries over vertices 0..2 with v, a non-integer equal to vertex 2,
-    as x, as y, inside a plain S, and as the x or y of its own AllBut."""
+    as x, as y, inside a plain S, and as the x or y of a query given REST."""
     return [
         (v, 1, ()),
         (0, v, ()),
         (0, 1, [v]),
-        (v, 0, AllBut(3, v, 0)),
-        (1, v, AllBut(3, 1, v)),
+        (v, 0, REST),
+        (1, v, REST),
     ]
 
 
 def mixed_uint64_queries():
     """(query, the same query in Python ints) pairs over vertices 0..2 with
     one np.uint64 vertex among other integers: as x, as y, inside a plain
-    S, and as the x of its own AllBut."""
+    S, and as the x of a query given REST."""
     u = np.uint64
     return [
         ((u(0), 2, [1]), (0, 2, [1])),
         ((0, u(2), [np.int64(1)]), (0, 2, [1])),
         ((2, 1, [u(0)]), (2, 1, [0])),
-        ((u(1), 0, AllBut(3, u(1), 0)), (1, 0, AllBut(3, 1, 0))),
+        ((u(1), 0, REST), (1, 0, REST)),
     ]
 
 
@@ -253,8 +253,7 @@ class TestQueryValidation:
             want = kernel(x, y, s)
             got = kernel(kind(x), kind(y), [kind(v) for v in s])
             assert got == want
-            own = AllBut(3, kind(x), kind(y))
-            assert kernel(kind(x), kind(y), own) == kernel(x, y, AllBut(3, x, y))
+            assert kernel(kind(x), kind(y), REST) == kernel(x, y, REST)
         assert kernel(False, True, [2]) == kernel(0, 1, [2])
 
     @pytest.mark.parametrize("kernel", KERNELS.values(), ids=list(KERNELS))
@@ -494,7 +493,7 @@ class TestSearchMatchesReference:
         assert got_o.stats() - before == want_o.stats()
 
 
-def all_but_oracles(p, seed):
+def rest_oracles(p, seed):
     """A d-separation oracle and two Fisher-Z oracles over one random DAG
     on p vertices, fresh on each call. The second Fisher-Z oracle has
     n = p samples, so every total-conditioning query takes its degenerate
@@ -509,31 +508,31 @@ def all_but_oracles(p, seed):
 
 
 @hs.composite
-def all_but_queries(draw):
+def rest_queries(draw):
     p = draw(hs.integers(2, 9))
     seed = draw(hs.integers(0, 2**32 - 1))
     x, y = draw(hs.lists(hs.integers(0, p - 1), min_size=2, max_size=2, unique=True))
     return p, seed, x, y
 
 
-class TestAllButQueries:
-    # Total conditioning asks AllBut(p, x, y) in place of the frozenset of
-    # every vertex but x and y; nothing the oracle reports may tell them
-    # apart, and an AllBut that does not fit its query raises, uncounted.
+class TestRestQueries:
+    # Total conditioning asks REST in place of the frozenset of every vertex
+    # but x and y; nothing the oracle reports may tell them apart, and a
+    # query whose x or y is bad raises, uncounted.
 
     @settings(max_examples=100, deadline=None)
-    @given(all_but_queries())
+    @given(rest_queries())
     def test_same_answer_and_window_as_the_frozenset(self, case):
         p, seed, x, y = case
-        g, got = all_but_oracles(p, seed)
-        _, want = all_but_oracles(p, seed)
+        g, got = rest_oracles(p, seed)
+        _, want = rest_oracles(p, seed)
         s = frozenset(range(p)) - {x, y}
         truth = d_separated_bruteforce(g, x, y, s)
         for got_o, want_o in zip(got, want):
             got_o.query(0, 1, ())
             want_o.query(0, 1, ())
             start = got_o.stats()
-            answer = got_o.query(x, y, AllBut(p, x, y))
+            answer = got_o.query(x, y, REST)
             assert answer == want_o.query(x, y, s)
             assert got_o.stats() - start == CiStats({p - 2: 1})
             assert got_o.stats() == want_o.stats()
@@ -541,7 +540,7 @@ class TestAllButQueries:
                 want_o.n_degenerate,
                 want_o.n_singular,
             )
-        assert got[0].query(x, y, AllBut(p, x, y)) == truth
+        assert got[0].query(x, y, REST) == truth
 
     @settings(max_examples=100, deadline=None)
     @given(hs.integers(2, 9), hs.integers(0, 2**32 - 1))
@@ -553,7 +552,7 @@ class TestAllButQueries:
         for x, y in combinations(range(p), 2):
             s = frozenset(range(p)) - {x, y}
             before = o.stats()
-            answer = o.query(x, y, AllBut(p, x, y))
+            answer = o.query(x, y, REST)
             assert o.stats() - before == CiStats({p - 2: 1})
             assert answer == (y not in markov_boundary_graphical(g, x))
             assert answer == d_separated_bruteforce(g, x, y, s)
@@ -562,50 +561,64 @@ class TestAllButQueries:
         g = fixed_indegree_dag(150, 4, 0)
         o = dsep_oracle(g)
         for x, y in combinations(range(g.p), 2):
-            answer = o.query(x, y, AllBut(g.p, x, y))
+            answer = o.query(x, y, REST)
             assert answer == (y not in markov_boundary_graphical(g, x))
         assert o.stats() == CiStats({148: 150 * 149 // 2})
 
     @settings(max_examples=100, deadline=None)
-    @given(all_but_queries())
+    @given(rest_queries())
     def test_partial_correlation_identical(self, case):
+        # Bit for bit: REST gathers the frozenset's sorted order.
         p, seed, x, y = case
-        corr = all_but_oracles(p, seed)[1][1].corr
+        corr = rest_oracles(p, seed)[1][1].corr
         s = frozenset(range(p)) - {x, y}
         assert partial_correlation_from_corr(
-            corr, x, y, AllBut(p, x, y)
+            corr, x, y, REST
         ) == partial_correlation_from_corr(corr, x, y, s)
 
     @settings(max_examples=100, deadline=None)
-    @given(all_but_queries(), hs.data())
-    def test_mismatched_fields_raise_uncounted(self, case, data):
+    @given(rest_queries(), hs.data())
+    def test_bad_endpoints_raise_uncounted(self, case, data):
         p, seed, x, y = case
-        z = data.draw(hs.integers(0, p - 1).filter(lambda v: v != y))
-        fields = data.draw(
+        bad, error = data.draw(
             hs.sampled_from(
                 [
-                    (p - 1, x, y),  # wrong p
-                    (p + 1, x, y),
-                    (p, y, x),  # swapped endpoints
-                    (p, x, z),  # another endpoint, or x again
-                    (p, x, p),  # an endpoint out of range
-                    (p, -1, y),
+                    ((x, x), ValueError),  # equal endpoints
+                    ((y, y), ValueError),
+                    ((x, p), ValueError),  # an endpoint out of range
+                    ((-1, y), ValueError),
+                    ((x + 0.5, y), ValueError),  # a float equal to no vertex
+                    ((float(x), y), TypeError),  # a float equal to vertex x
+                    ((x, complex(y)), TypeError),
                 ]
             )
         )
-        g, oracles = all_but_oracles(p, seed)
-        # A token of fewer than two vertices has length 0, so Fisher-Z takes
-        # its kernel path at n = 30 and its degenerate branch at n = 3.
+        g, oracles = rest_oracles(p, seed)
+        # Fisher-Z takes its kernel path at n = 30 and its degenerate branch
+        # at n = 3.
         scm = random_scm(g, seed=seed)
         oracles += [fisher_z_oracle(sample(scm, n=n, seed=seed)) for n in (30, 3)]
         for o in oracles:
-            o.query(x, y, AllBut(p, x, y))
+            o.query(x, y, REST)
             before = (o.stats(), o.n_degenerate, o.n_singular)
-            for bad in (fields, (1, x, y), (0, x, y)):
-                with pytest.raises(ValueError, match="is not the conditioning set"):
-                    o.query(x, y, AllBut(*bad))
+            with pytest.raises(error):
+                o.query(*bad, REST)
             assert (o.stats(), o.n_degenerate, o.n_singular) == before
-        assert oracles[2].n_degenerate == 1
+        assert oracles[-1].n_degenerate == 1
+
+    def test_two_vertices_count_at_size_0(self):
+        # Given the rest of two vertices is given nothing. Fisher-Z takes
+        # its kernel path at n = 40 and its degenerate branch at n = 3.
+        g = Dag(2, [(0, 1)])
+        scm = random_scm(g, seed=3)
+        data = [sample(scm, n=n, seed=3) for n in (40, 3)]
+        for o in (dsep_oracle(g), *map(fisher_z_oracle, data)):
+            assert o.query(1, 0, REST) == o.query(1, 0, ())
+            assert o.stats() == CiStats({0: 2})
+        corr = data[0].corr
+        assert partial_correlation_from_corr(
+            corr, 0, 1, REST
+        ) == partial_correlation_from_corr(corr, 0, 1, ())
 
 
 class TestValidatedOnce:

@@ -11,9 +11,14 @@ may not change which queries are counted or what is learned.
 ``make_golden.FISHER_Z_GRID``, plus the warnings, ``n_degenerate`` and
 ``n_singular``, with each counted query's answer in its digest: a change
 to the Fisher-Z path may not flip one answer either.
+
+Each run may ask only as many queries as its record counts: the recorder
+raises on the first query past that, so a change that makes a learner
+search without bound fails at once.
 """
 
 import json
+import re
 from collections import Counter
 from math import comb
 
@@ -25,8 +30,10 @@ from make_golden import (
     FISHER_Z_PLAN,
     GOLDEN_PATH,
     GRID,
+    first_difference,
     fisher_z_key,
     instance_key,
+    render,
     run_fisher_z,
     run_instance,
     versions,
@@ -46,8 +53,9 @@ def test_file_covers_the_grid():
     "graph, algo", GRID, ids=[instance_key(*inst) for inst in GRID]
 )
 def test_matches_golden(graph, algo):
-    record, oracle, res = run_instance(graph, algo)
-    assert record == GOLDEN[instance_key(graph, algo)]
+    want = GOLDEN[instance_key(graph, algo)]
+    record, oracle, res = run_instance(graph, algo, budget(want))
+    assert record == want
     check_accounting(record, oracle, res)
 
 
@@ -59,8 +67,9 @@ def test_fisher_z_file_covers_the_grid():
     "cell, algo", FISHER_Z_GRID, ids=[fisher_z_key(*inst) for inst in FISHER_Z_GRID]
 )
 def test_fisher_z_matches_golden(cell, algo):
-    record, oracle, res = run_fisher_z(cell, algo)
-    assert record == FISHER_Z[fisher_z_key(cell, algo)], (
+    want = FISHER_Z[fisher_z_key(cell, algo)]
+    record, oracle, res = run_fisher_z(cell, algo, budget(want))
+    assert record == want, (
         f"golden_fisherz.json was written with {WRITTEN_WITH}; "
         f"this run has {versions()}"
     )
@@ -78,6 +87,35 @@ def test_fisher_z_caches_never_cost_queries():
         assert cached <= uncached, cell
 
 
+@pytest.mark.parametrize(
+    "run, inst, key, golden",
+    [
+        (run_instance, GRID[0], instance_key(*GRID[0]), GOLDEN),
+        (run_fisher_z, FISHER_Z_GRID[0], fisher_z_key(*FISHER_Z_GRID[0]), FISHER_Z),
+    ],
+    ids=["exact", "fisher_z"],
+)
+def test_run_past_its_budget_fails_naming_it(run, inst, key, golden):
+    with pytest.raises(AssertionError, match=re.escape(key)):
+        run(*inst, budget(golden[key]) - 1)
+
+
+def test_check_names_the_first_differing_key(tmp_path):
+    path = tmp_path / "golden.json"
+    records = {"a": {"order": [1, 0]}, "b": {"order": [2]}}
+    path.write_text(render(records))
+    assert first_difference(path, records) is None
+    assert first_difference(path, {"a": {"order": [0, 1]}, "b": {}}) == "a"
+    assert first_difference(path, {"a": records["a"]}) == "b"
+    assert first_difference(path, {**records, "c": {}}) == "c"
+
+
+def budget(record):
+    """The queries a run may ask: its record's count. A run that asks more
+    fails on the first query past it, not after an unbounded search."""
+    return record["mb_tests"] + record["post_tests"]
+
+
 def check_accounting(record, oracle, res):
     # The oracle's own counters agree with the queries it was seen to count.
     st = oracle.stats()
@@ -86,8 +124,8 @@ def check_accounting(record, oracle, res):
         record["cond_sum"],
         record["cond_max"],
     )
-    # Total conditioning asked every pair given AllBut(p, x, y).
-    assert oracle.all_but == comb(oracle.p, 2)
+    # Total conditioning asked every pair given REST.
+    assert oracle.rest == comb(oracle.p, 2)
     # The learner's window holds exactly the queries after boundary discovery.
     post = [k for _, _, k, _ in oracle.log[record["mb_tests"]:]]
     assert res.stats.by_size == Counter(post)

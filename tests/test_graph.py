@@ -27,7 +27,7 @@ from reference import (
     neighbors,
 )
 from marvel.graph import (
-    AllBut,
+    REST,
     Dag,
     Pdag,
     apply_meek_rules,
@@ -129,17 +129,15 @@ class TestDSeparation:
 
     @pytest.mark.parametrize("p", [5, 70])
     def test_numpy_vertices_on_both_encodings(self, p):
-        # AllBut(p, x, y) is answered from x's moral row, every plain set is
-        # encoded from its own elements
+        # REST is answered from x's moral row, every plain set is encoded
+        # from its own elements
         g = random_dag(random.Random(p), p, p)
         i = np.int64
         for s in ([2], range(2, p // 2 + 3), range(2, p)):
             assert d_separated(g, i(0), i(1), [i(v) for v in s]) == d_separated(
                 g, 0, 1, s
             )
-        assert d_separated(g, i(0), i(1), AllBut(p, i(0), i(1))) == d_separated(
-            g, 0, 1, range(2, p)
-        )
+        assert d_separated(g, i(0), i(1), REST) == d_separated(g, 0, 1, range(2, p))
 
     def test_symmetry_random(self):
         rng = random.Random(7)
@@ -311,45 +309,38 @@ class TestShortPathCertificates:
             assert answer is (y not in markov_boundary_graphical(g, x))
 
 
-class TestAllBut:
-    def test_set_of_every_other_vertex(self):
-        a = AllBut(6, 4, 1)
-        assert list(a) == [0, 2, 3, 5]
-        assert len(a) == 4
-        with pytest.raises(AttributeError):
-            a.extra = 1
-
-    @pytest.mark.parametrize("fields", [(6, 0, 5), (6, 3, 2), (2, 1, 0)])
-    def test_len_counts_the_members(self, fields):
-        a = AllBut(*fields)
-        assert len(a) == len(list(a)) == len(frozenset(a)) == fields[0] - 2
-
-    @pytest.mark.parametrize(
-        "fields, members",
-        [((6, 2, 2), {0, 1, 3, 4, 5}), ((6, 1, 9), {0, 2, 3, 4, 5}), ((1, 0, 1), set())],
-    )
-    def test_any_fields_convert_to_their_members(self, fields, members):
-        assert frozenset(AllBut(*fields)) == members
-
+class TestRest:
     def test_never_exported(self):
         import marvel
 
-        assert "AllBut" not in marvel.__all__
+        assert "REST" not in marvel.__all__
 
-    def test_check_query_keeps_only_its_own_query(self):
-        a = AllBut(6, 4, 1)
-        assert check_query(6, 4, 1, a) is a
-        for p, x, y in [(7, 4, 1), (6, 1, 4), (6, 4, 2)]:
-            with pytest.raises(ValueError) as raised:
-                check_query(p, x, y, a)
-            assert str(raised.value) == (
-                f"AllBut(6, 4, 1) is not the conditioning set of query ({x}, {y}) "
-                f"for p={p}"
-            )
-        with pytest.raises(ValueError, match="vertex 6 out of range"):
-            check_query(6, 4, 6, AllBut(6, 4, 6))
-        with pytest.raises(ValueError, match="endpoints must differ"):
-            check_query(6, 4, 4, AllBut(6, 4, 4))
+    def test_is_not_a_set(self):
+        # A kernel that does not know REST raises rather than read it as a
+        # set of its own.
+        with pytest.raises(TypeError):
+            frozenset(REST)
+        with pytest.raises(TypeError):
+            len(REST)
+
+    @pytest.mark.parametrize("p, x, y", [(6, 4, 1), (2, 0, 1), (150, 149, 0)])
+    def test_check_query_passes_it_through(self, p, x, y):
+        assert check_query(p, x, y, REST) is REST
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (4, 6, "vertex 6 out of range for p=6"),
+            (-1, 2, "vertex -1 out of range for p=6"),
+            (2.5, 1, "vertex 2.5 out of range for p=6"),
+            (4, 4, "query endpoints must differ"),
+        ],
+        ids=["out_of_range", "negative", "float", "equal"],
+    )
+    def test_check_query_checks_the_endpoints(self, x, y, message):
+        with pytest.raises(ValueError) as raised:
+            check_query(6, x, y, REST)
+        assert str(raised.value) == message
 
     def test_d_separated_matches_the_frozenset(self):
         rng = random.Random(83)
@@ -358,8 +349,13 @@ class TestAllBut:
             x, y = rng.sample(range(g.p), 2)
             s = frozenset(range(g.p)) - {x, y}
             want = d_separated_bruteforce(g, x, y, s)
-            assert d_separated(g, x, y, AllBut(g.p, x, y)) == want
-            assert d_separated_bruteforce(g, x, y, AllBut(g.p, x, y)) == want
+            assert d_separated(g, x, y, REST) == want
+            assert d_separated(g, x, y, s) == want
+
+    @pytest.mark.parametrize("edges", [(), [(1, 0)]], ids=["empty", "edge"])
+    def test_two_vertices_given_nothing(self, edges):
+        g = Dag(2, edges)
+        assert d_separated(g, 0, 1, REST) is d_separated(g, 0, 1, ()) is (not edges)
 
 
 class TestDescendants:
