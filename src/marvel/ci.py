@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import REST, Dag, check_query, d_separated
+from .graph import REST, Dag, Rest, check_query, d_separated
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,10 @@ class CiOracle:
     nothing. Each query is validated once, by the kernel that decides it:
     ``d_separated`` for ``DsepOracle`` and ``partial_correlation_from_corr``
     for ``FisherZOracle``, which repeats the kernel's checks itself only
-    for the degenerate queries that never reach it. Both kernels take ``REST`` as it is: ``d_separated``
-    answers it from the moral row, independent exactly when y is off x's
-    Markov blanket, and the Fisher-Z kernel gathers every vertex but x and
-    y in ascending order.
+    for the degenerate queries that never reach it. Both kernels take
+    ``REST`` as it is: ``d_separated`` answers it from the moral row,
+    independent exactly when y is off x's Markov blanket, and the Fisher-Z
+    kernel gathers every vertex but x and y in ascending order.
 
     ``search(x, y, pool, base, sizes)`` is the one subset search the
     learners use, and the only place that knows the enumeration order. It
@@ -99,14 +99,18 @@ class CiOracle:
     def __init__(self) -> None:
         self._by_size: dict[int, int] = {}
 
-    def query(self, x: int, y: int, s: Iterable[int] = ()) -> bool:
+    def query(self, x: int, y: int, s: Iterable[int] | Rest = ()) -> bool:
         if s is not REST:
             s = frozenset(s)
         answer = self._decide(x, y, s)
         # Counted only once answered, so a query that raises leaves no trace.
-        k = self.p - 2 if s is REST else len(s)
+        k = self._size(s)
         self._by_size[k] = self._by_size.get(k, 0) + 1
         return answer
+
+    def _size(self, s: frozenset[int] | Rest) -> int:
+        """|S|, with ``REST`` counted as the p - 2 vertices it stands for."""
+        return self.p - 2 if s is REST else len(s)
 
     def search(
         self,
@@ -142,7 +146,7 @@ class CiOracle:
                     return s
         return None
 
-    def _decide(self, x: int, y: int, s: frozenset[int] | object) -> bool:
+    def _decide(self, x: int, y: int, s: frozenset[int] | Rest) -> bool:
         raise NotImplementedError
 
     def stats(self) -> CiStats:
@@ -160,7 +164,7 @@ class DsepOracle(CiOracle):
         self.dag = dag
         self.p = dag.p
 
-    def _decide(self, x: int, y: int, s: frozenset[int] | object) -> bool:
+    def _decide(self, x: int, y: int, s: frozenset[int] | Rest) -> bool:
         return d_separated(self.dag, x, y, s)
 
 
@@ -332,9 +336,9 @@ class FisherZOracle(CiOracle):
         # wraps; calling it directly spares importing all of scipy.stats.
         self.z_threshold = float(ndtri(1.0 - alpha / 2.0))
 
-    def _decide(self, x: int, y: int, s: frozenset[int] | object) -> bool:
+    def _decide(self, x: int, y: int, s: frozenset[int] | Rest) -> bool:
         n = self.n
-        k = self.p - 2 if s is REST else len(s)
+        k = self._size(s)
         if n <= k + 3:
             # This branch never reaches the kernel, so it repeats the
             # kernel's checks: check_query, then the integer rule that

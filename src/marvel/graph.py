@@ -202,15 +202,22 @@ def _vertices(p: int) -> frozenset[int]:
     return frozenset(range(p))
 
 
-REST = object()
+class Rest:
+    """The type of ``REST``, which is its only instance."""
+
+    def __repr__(self) -> str:
+        return "REST"
+
+
+REST = Rest()
 """The conditioning set of total conditioning: every vertex of the query's
 0..p-1 but its own x and y. A constant, not a set: it names no p and no
 pair, so it is never built and has no members to check."""
 
 
 def check_query(
-    p: int, x: int, y: int, s: Iterable[int]
-) -> frozenset[int] | object:
+    p: int, x: int, y: int, s: Iterable[int] | Rest
+) -> frozenset[int] | Rest:
     """Validate a CI query over vertices 0..p-1; returns s as a frozenset,
     or ``REST`` as it is.
 
@@ -240,7 +247,9 @@ def check_query(
     return s
 
 
-def d_separated(g: Dag, x: int, y: int, s: Iterable[int] = ()) -> bool:
+def d_separated(
+    g: Dag, x: int, y: int, s: Iterable[int] | Rest = ()
+) -> bool:
     """True iff x and y are d-separated by s in g.
 
     Works on the bitmasks ``Dag`` precomputes: parent and child rows,

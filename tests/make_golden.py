@@ -2,11 +2,6 @@
 digests of seeded runs.
 
   PYTHONPATH=src python3 tests/make_golden.py
-  PYTHONPATH=src python3 tests/make_golden.py --check
-
-With ``--check`` both files are regenerated in memory and compared with the
-committed ones, and nothing is written. When they differ, it names the first
-key that differs and exits with status 1.
 
 Every instance of ``GRID`` is a generated DAG, a fresh d-separation oracle,
 boundary discovery by total conditioning and one learner: ``marvel_learn``,
@@ -33,7 +28,6 @@ count pass.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
@@ -232,47 +226,19 @@ def record_solve(oracle, algo) -> tuple[dict, LearnResult]:
     return record, res
 
 
-def render(records: dict) -> str:
+def write(path, records: dict) -> None:
     """One line per entry, so a diff of the file names the moved records."""
     lines = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in records.items()]
-    return "{\n" + ",\n".join(lines) + "\n}\n"
-
-
-def first_difference(path, records: dict) -> str | None:
-    """The first key, in the file's order and then the run's, whose entry
-    in the file at ``path`` differs from the run's, or None."""
-    committed = json.loads(path.read_text())
-    records = json.loads(render(records))
-    for key in [*committed, *records]:
-        if committed.get(key) != records.get(key):
-            return key
-    return None
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"{path.name}: {len(lines)} entries")
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare fresh runs with the files and write nothing",
-    )
-    check = parser.parse_args().check
     exact = {instance_key(*inst): run_instance(*inst)[0] for inst in GRID}
+    write(GOLDEN_PATH, exact)
     fisher_z = {fisher_z_key(*inst): run_fisher_z(*inst)[0] for inst in FISHER_Z_GRID}
-    status = 0
-    for path, records in (
-        (GOLDEN_PATH, exact),
-        (FISHER_Z_PATH, {"versions": versions(), **fisher_z}),
-    ):
-        if not check:
-            path.write_text(render(records))
-            print(f"{path.name}: {len(records)} entries")
-        elif (key := first_difference(path, records)) is not None:
-            print(f"{path.name}: differs first at {key!r}")
-            status = 1
-        else:
-            print(f"{path.name}: {len(records)} entries, no difference")
-    return status
+    write(FISHER_Z_PATH, {"versions": versions(), **fisher_z})
+    return 0
 
 
 if __name__ == "__main__":

@@ -30,10 +30,8 @@ from make_golden import (
     FISHER_Z_PLAN,
     GOLDEN_PATH,
     GRID,
-    first_difference,
     fisher_z_key,
     instance_key,
-    render,
     run_fisher_z,
     run_instance,
     versions,
@@ -98,16 +96,6 @@ def test_fisher_z_caches_never_cost_queries():
 def test_run_past_its_budget_fails_naming_it(run, inst, key, golden):
     with pytest.raises(AssertionError, match=re.escape(key)):
         run(*inst, budget(golden[key]) - 1)
-
-
-def test_check_names_the_first_differing_key(tmp_path):
-    path = tmp_path / "golden.json"
-    records = {"a": {"order": [1, 0]}, "b": {"order": [2]}}
-    path.write_text(render(records))
-    assert first_difference(path, records) is None
-    assert first_difference(path, {"a": {"order": [0, 1]}, "b": {}}) == "a"
-    assert first_difference(path, {"a": records["a"]}) == "b"
-    assert first_difference(path, {**records, "c": {}}) == "c"
 
 
 def budget(record):
