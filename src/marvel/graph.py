@@ -1,7 +1,10 @@
 """Directed and partially directed graphs over dense integer vertices.
 
 Vertices are always 0..p-1. ``Dag`` and ``Pdag`` are immutable value types
-and every operation in this module is a pure function.
+and every operation in this module is a pure function. The one piece of
+hidden state is a ``Dag``'s private memo of ``d_separated``'s moral-graph
+searches: it only remembers answers the graph fixes, so it never changes
+one, and equality and hashing ignore it.
 
 Vertex sets are plain frozensets at the API boundary, apart from the
 constant ``REST``, which stands for the conditioning set of a
@@ -45,11 +48,18 @@ class Dag:
     Edges are (i, j) pairs meaning i -> j. Construction rejects self-loops,
     out-of-range endpoints, duplicate edges in opposite directions forming a
     2-cycle, and any directed cycle.
+
+    Besides the bitmasks ``d_separated`` reads, a graph carries a memo of
+    that kernel's moral-graph searches, empty at construction. It holds
+    answers the edges fix, so it never changes one, and ``__eq__`` and
+    ``__hash__`` leave it out. It grows by one entry per distinct query
+    that searches, for as long as the graph lives. ``copy.copy`` shares it
+    with the original.
     """
 
     __slots__ = (
         "p", "parents", "children",
-        "_pmask", "_cmask", "_amask", "_dmask", "_mmask", "_bits",
+        "_pmask", "_cmask", "_amask", "_dmask", "_mmask", "_bits", "_memo",
     )
 
     def __init__(self, p: int, edges: Iterable[tuple[int, int]] = ()):
@@ -93,6 +103,7 @@ class Dag:
             dmask[v] = d
         self._amask = tuple(amask)
         self._dmask = tuple(dmask)
+        self._memo: dict[int, bool] = {}
 
     def topological_order(self) -> tuple[int, ...]:
         """Vertices with every parent before its children; ties go to the
@@ -279,7 +290,13 @@ def d_separated(
     {x, y} | s with s removed. The ancestral set is the union of the seed
     vertices' ancestor closures, and a moral row clipped to it is built only
     for a vertex the search expands, so the cost follows what the search
-    visits rather than the vertex count.
+    visits rather than the vertex count. The graph memoizes each search's
+    answer under one int, ``(xbit | ybit) << p | smask``, the same for both
+    argument orders, so a repeated query skips the search. The memo is
+    read only after the query is validated, s is encoded and the short-path
+    certificates fail, so every query is still checked in full, and since
+    the graph fixes every answer a hit never changes one. ``copy.copy`` of
+    a graph shares its memo.
     """
     s = check_query(g.p, x, y, s)
     bits = g._bits
@@ -307,6 +324,21 @@ def d_separated(
         if ((1 << w) | dmask[w]) & smask:
             return False
 
+    # The moral-graph search, once per query and graph: the memo is keyed
+    # by the pair's and s's bits, so both argument orders share an entry.
+    key = (xbit | ybit) << g.p | smask
+    memo = g._memo
+    answer = memo.get(key)
+    if answer is None:
+        answer = memo[key] = _moral_search(g, xbit, ybit, smask)
+    return answer
+
+
+def _moral_search(g: Dag, xbit: int, ybit: int, smask: int) -> bool:
+    """True iff no path joins x and y in the moral graph of the ancestral
+    set of {x, y} | s with s removed; each argument is a bitmask."""
+    pmask = g._pmask
+    cmask = g._cmask
     # An({x, y} | s) is the union of the seed vertices' ancestor closures.
     amask = g._amask
     anc = 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapify, heappop
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import ceil, comb
 from time import perf_counter
@@ -336,15 +336,23 @@ def _eliminate(
     pairs: set[tuple[int, int]] = set()
     heads: dict[tuple[int, int], int] = {}
     order: list[int] = []
+    # Scan order is (|Mb(v)|, v), popped lazily from one heap for the whole
+    # run: a round usually stops after a few batteries, so sorting or
+    # rebuilding the alive vertices each round is waste. An entry is live
+    # while it equals its vertex's current key; boundaries only shrink, so
+    # every other entry is stale for good, and a removed vertex keeps none.
+    scan = [(len(m.mb[v]), v) for v in range(p)]
+    heapify(scan)
 
     while len(order) < p:
-        # Scan order is (|Mb(v)|, v), popped lazily: a round usually stops
-        # after a few batteries, so sorting every alive vertex is waste.
-        scan = [(len(m.mb[v]), v) for v in range(p) if v not in m.removed]
-        heapify(scan)
         first: tuple[int, NeighborInfo] | None = None
+        popped: list[tuple[int, int]] = []
         while scan:
-            x = heappop(scan)[1]
+            entry = heappop(scan)
+            key, x = entry
+            if key != len(m.mb[x]):
+                continue
+            popped.append(entry)
             mb_x = frozenset(m.mb[x])
             verdict, info, vpa = is_removable_ci(x, mb_x, oracle, caches)
             if first is None:
@@ -362,7 +370,14 @@ def _eliminate(
                 f"forcing removal of {x}"
             )
         order.append(x)
+        for entry in popped:
+            if entry[1] != x:
+                heappush(scan, entry)
+        # Only the removed vertex's old boundary can shrink.
+        touched = list(m.mb[x])
         update_after_removal(m, x, sorted(info.neighbors), oracle)
+        for v in touched:
+            heappush(scan, (len(m.mb[v]), v))
 
     # Boundaries never hold a removed vertex, so every pair was recorded
     # while both its ends were alive. A pair no collider test oriented

@@ -229,12 +229,14 @@ class TestQueryValidation:
     @pytest.mark.parametrize("make", MAKE_ORACLE, ids=MAKE_ORACLE_IDS)
     def test_non_integer_vertex_raises_uncounted(self, make, v):
         # v equals vertex 2, so it passes check_query, and the kernel (or
-        # the degenerate branch) rejects it as an index.
+        # the degenerate branch) rejects it as an index. On the exact
+        # oracle (0, 2, [1]) takes the moral-graph search, so the graph has
+        # memoized it: (0, v, [1]) must still raise rather than hit the memo.
         o = make()
         o.query(0, 1, ())
         o.query(0, 2, [1])
         before = (o.stats(), o.n_degenerate, o.n_singular)
-        for x, y, s in non_integer_queries(v):
+        for x, y, s in [*non_integer_queries(v), (0, v, [1])]:
             with pytest.raises(TypeError):
                 o.query(x, y, s)
         assert (o.stats(), o.n_degenerate, o.n_singular) == before

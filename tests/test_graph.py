@@ -149,11 +149,19 @@ class TestDSeparation:
     @settings(max_examples=300, deadline=None)
     @given(small_dags(2, 8), st.data())
     def test_matches_bruteforce(self, g, data):
-        x = data.draw(st.integers(0, g.p - 1))
-        y = data.draw(st.integers(0, g.p - 1).filter(lambda v: v != x))
-        rest = [v for v in range(g.p) if v not in (x, y)]
-        s = data.draw(st.sets(st.sampled_from(rest)) if rest else st.just(set()))
-        assert d_separated(g, x, y, s) == d_separated_bruteforce(g, x, y, s)
+        # Several queries on one graph, each asked in both argument orders
+        # and then again, so later asks meet a memo the earlier ones warmed.
+        queries = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            x = data.draw(st.integers(0, g.p - 1))
+            y = data.draw(st.integers(0, g.p - 1).filter(lambda v: v != x))
+            rest = [v for v in range(g.p) if v not in (x, y)]
+            s = data.draw(st.sets(st.sampled_from(rest)) if rest else st.just(set()))
+            queries.append((x, y, s, d_separated_bruteforce(g, x, y, s)))
+        for _ in range(2):
+            for x, y, s, expected in queries:
+                assert d_separated(g, x, y, s) == expected
+                assert d_separated(g, y, x, s) == expected
 
     def test_matches_bruteforce_seeded(self):
         rng = random.Random(42)
@@ -207,9 +215,13 @@ class _NoSearch(tuple):
 
 
 def certified(g, x, y, s):
-    """d_separated's answer if a certificate gave it, None if it searched."""
+    """d_separated's answer if a certificate gave it, None if it searched.
+
+    The probe gets an empty memo of its own: a copy shares g's, and a warm
+    one would answer a searched query without touching ``_amask``."""
     probe = copy.copy(g)
     probe._amask = _NoSearch(g._amask)
+    probe._memo = {}
     try:
         return d_separated(probe, x, y, s)
     except LookupError:
@@ -282,10 +294,13 @@ class TestShortPathCertificates:
         assert certified(g, x, y, s) is cert
         assert certified(g, y, x, s) is cert
 
-    @pytest.mark.parametrize("m", [12, 15, 18])
-    def test_every_query_of_dense_dags(self, m):
+    @pytest.mark.parametrize("m", [6, 9, 12, 15, 18])
+    def test_every_query_of_small_dags(self, m):
         # p = 7 puts every subset of the other five vertices, up to total
-        # conditioning, through the certificates and the search.
+        # conditioning, through the certificates and the search. The graph
+        # memoizes every search, so on the sparser graphs, where most
+        # queries search, two queries that shared a memo entry would not
+        # both answer right.
         g = random_dag(random.Random(m), 7, m)
         for x, y in combinations(range(7), 2):
             rest = [v for v in range(7) if v not in (x, y)]
