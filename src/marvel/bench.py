@@ -1,10 +1,10 @@
 """Experiment harness: seeded runs of both learners with flat CSV output.
 
-One experiment is a generator regime, a learner, an oracle kind, and a list
-of seeds. Each seed gets its own graph, oracle, and boundary discovery;
-boundary-phase and post-boundary test counts are reported separately. Rows
-come out in seed order followed by one aggregate row of means, and a config
-run twice yields byte-identical CSV.
+One experiment is a generator regime, a learner, a list of seeds and, for
+Fisher-Z tests on simulated data, a sample size. Each seed gets its own
+graph, oracle, and boundary discovery; boundary-phase and post-boundary test
+counts are reported separately. Rows come out in seed order followed by one
+aggregate row of means, and a config run twice yields byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .synth import (
 )
 
 GENERATORS = ("erdos_renyi", "fixed_indegree", "cluster")
-ORACLES = ("dsep", "fisher_z")
 
 CSV_COLUMNS = (
     "algo",
@@ -111,8 +110,9 @@ class ExperimentConfig:
     """One seeded experiment grid cell.
 
     generator picks the graph family (m for erdos_renyi, delta_in for
-    fixed_indegree and cluster). oracle "dsep" answers from the true graph;
-    "fisher_z" simulates n_samples rows of linear-Gaussian data per seed.
+    fixed_indegree and cluster). Without n_samples the oracle answers from
+    the true graph; with it, Fisher-Z tests at alpha run on n_samples rows
+    of linear-Gaussian data simulated per seed.
     wall_ms is zeroed in rows unless record_wall is set, keeping CSV output
     reproducible byte for byte.
     """
@@ -120,7 +120,6 @@ class ExperimentConfig:
     generator: str
     p: int
     algo: str
-    oracle: str
     seeds: tuple[int, ...]
     m: int | None = None
     delta_in: int | None = None
@@ -132,26 +131,18 @@ class ExperimentConfig:
         _check_generator(self.generator, self.m, self.delta_in)
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algo {self.algo!r}")
-        if self.oracle not in ORACLES:
-            raise ValueError(f"unknown oracle {self.oracle!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if self.p < 1:
             raise ValueError("p must be positive")
-        if self.oracle == "fisher_z":
-            # Checked here so that no seed's graph or data is made first.
-            if self.n_samples is None:
-                raise ValueError("fisher_z needs n_samples")
-            if self.n_samples < 2:
-                raise ValueError(
-                    "need at least two samples for a correlation matrix"
-                )
-            checked_alpha(self.alpha, self.p)
-        else:
-            if self.n_samples is not None:
-                raise ValueError("dsep runs take no n_samples")
+        # Checked here so that no seed's graph or data is made first.
+        if self.n_samples is None:
             if self.alpha is not None:
-                raise ValueError("dsep runs take no alpha")
+                raise ValueError("alpha applies to the fisher_z oracle only")
+        elif self.n_samples < 2:
+            raise ValueError("need at least two samples for a correlation matrix")
+        else:
+            checked_alpha(self.alpha, self.p)
 
 
 def simulate_dataset(g: Dag, n_samples: int, seed: int) -> Dataset:
@@ -217,7 +208,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     for seed in cfg.seeds:
         try:
             g = generate_dag(cfg.generator, cfg.p, seed, cfg.m, cfg.delta_in)
-            if cfg.oracle == "dsep":
+            if cfg.n_samples is None:
                 oracle = dsep_oracle(g)
             else:
                 data = simulate_dataset(g, cfg.n_samples, seed)
@@ -279,7 +270,6 @@ _CONFIG_PARSERS = {
     "generator": str,
     "p": int,
     "algo": str,
-    "oracle": str,
     "seeds": _parse_seeds,
     "m": int,
     "delta_in": int,

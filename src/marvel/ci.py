@@ -174,8 +174,9 @@ dsep_oracle = DsepOracle
 class Dataset:
     """n x p sample matrix with its correlation matrix computed once.
 
-    Requires n >= 2 rows and finite, nonconstant columns, since the
-    correlation matrix is undefined otherwise.
+    Requires n >= 2 rows and finite, nonconstant columns whose variance
+    neither overflows nor underflows (as 1e200 or 1e-200 times a normal
+    column does), since the correlation matrix is undefined otherwise.
     """
 
     __slots__ = ("n", "p", "values", "corr")
@@ -188,21 +189,29 @@ class Dataset:
         if n < 2:
             raise ValueError("dataset needs at least two rows")
         finite = np.isfinite(values).all(axis=0)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite)[0])
-            raise ValueError(f"column {bad} holds NaN or infinite values")
-        stds = values.std(axis=0)
-        if np.any(stds == 0.0):
-            bad = int(np.flatnonzero(stds == 0.0)[0])
-            raise ValueError(f"column {bad} is constant; correlation undefined")
+        _check_columns(~finite, "holds NaN or infinite values")
+        with np.errstate(all="ignore"):
+            # The range, unlike the standard deviation, cannot underflow to
+            # 0. corrcoef returns a 0-d array for a single column.
+            spread = np.ptp(values, axis=0)
+            corr = np.atleast_2d(np.corrcoef(values, rowvar=False))
+        _check_columns(spread == 0.0, "is constant; correlation undefined")
+        _check_columns(
+            ~np.isfinite(corr.diagonal()),
+            "is too large or too small for a correlation matrix; rescale it",
+        )
         self.n = n
         self.p = p
         self.values = values
-        # corrcoef returns a 0-d array for a single column.
-        corr = np.atleast_2d(np.corrcoef(values, rowvar=False))
         corr = np.clip(corr, -1.0, 1.0)
         np.fill_diagonal(corr, 1.0)
         self.corr = corr
+
+
+def _check_columns(bad: np.ndarray, problem: str) -> None:
+    """Reject a dataset naming the first column ``bad`` flags."""
+    if bad.any():
+        raise ValueError(f"column {int(np.flatnonzero(bad)[0])} {problem}")
 
 
 def load_dataset(path) -> Dataset:

@@ -6,13 +6,13 @@ Subcommands:
   learn         recover a PDAG from a truth graph (exact oracle) or from a
                 CSV dataset (partial-correlation tests) and print a metrics
                 row
-  bench         run a seeded experiment described by a key=value config file
-                and emit the results CSV
+  bench         run the seeded experiment a key=value config file describes,
+                the one source of its settings, and emit the results CSV
   oracle-check  report whether a learned PDAG is Markov equivalent to a
                 truth DAG
 
-Exit codes: 0 on success, 1 on argument or input errors, 2 on internal
-errors.
+Exit codes: 0 on success, 1 on argument or input errors (an --out that
+names another file of the command among them), 2 on internal errors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .bench import (
     ALGOS,
@@ -67,9 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run an experiment config, emit CSV")
     bench.add_argument("config", help="flat key=value experiment config file")
     bench.add_argument("--out", help="CSV output path (default: stdout)")
-    bench.add_argument("--algo", choices=ALGOS, help="override config")
-    bench.add_argument("--alpha", type=float, help="override config")
-    bench.add_argument("--seed", type=int, help="run this single seed instead")
     bench.set_defaults(run=_cmd_bench)
 
     check = sub.add_parser(
@@ -82,10 +78,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str | None, flag: str, other: str | None) -> None:
+    """Reject an --out that resolves to the command's other file."""
+    if out and other and os.path.realpath(out) == os.path.realpath(other):
+        raise ValueError(f"--out and {flag} name the same file")
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     # every check runs before the first file is written
     if (args.data is None) != (args.n_samples is None):
         raise ValueError("--data and --n-samples go together")
+    _check_out(args.out, "--data", args.data)
     g = generate_dag(args.generator, args.p, args.seed, args.m, args.delta_in)
     dataset = None
     if args.data is not None:
@@ -107,11 +110,13 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     if (args.graph is None) == (args.data is None):
         raise ValueError("give exactly one of --graph or --data")
     if args.graph is not None:
+        _check_out(args.out, "--graph", args.graph)
         if args.alpha is not None:
             raise ValueError("--alpha applies to the fisher_z oracle only")
         truth = load_dag(args.graph)
         oracle = dsep_oracle(truth)
     else:
+        _check_out(args.out, "--data", args.data)
         truth = None
         oracle = fisher_z_oracle(load_dataset(args.data), args.alpha)
 
@@ -130,14 +135,8 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.algo is not None:
-        cfg = replace(cfg, algo=args.algo)
-    if args.alpha is not None:
-        cfg = replace(cfg, alpha=args.alpha)
-    if args.seed is not None:
-        cfg = replace(cfg, seeds=(args.seed,))
-    rows = run_experiment(cfg)
+    _check_out(args.out, "config", args.config)
+    rows = run_experiment(load_config(args.config))
     text = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -70,14 +70,14 @@ def test_03_query_count_beats_own_bound_and_pc_baseline():
     seeds = tuple(range(20))
     for delta in range(1, 6):
         rows = run_experiment(ExperimentConfig(
-            generator="fixed_indegree", p=25, algo="marvel", oracle="dsep",
+            generator="fixed_indegree", p=25, algo="marvel",
             seeds=seeds, delta_in=delta,
         ))
         bound = ci_budget_bound(25, delta)
         assert all(r["post_tests"] <= bound for r in rows[:-1]), delta
         if delta >= 3:
             pc_rows = run_experiment(ExperimentConfig(
-                generator="fixed_indegree", p=25, algo="pc", oracle="dsep",
+                generator="fixed_indegree", p=25, algo="pc",
                 seeds=seeds, delta_in=delta,
             ))
             assert rows[-1]["post_tests"] < pc_rows[-1]["post_tests"], delta
@@ -100,7 +100,7 @@ def test_05_finite_sample_skeleton_quality():
     # default level: mean skeleton F1 and recall over 10 seeds must clear
     # 0.85 and 0.90.
     rows = run_experiment(ExperimentConfig(
-        generator="fixed_indegree", p=50, algo="marvel", oracle="fisher_z",
+        generator="fixed_indegree", p=50, algo="marvel",
         seeds=tuple(range(10)), delta_in=4, n_samples=2500,
     ))
     mean = rows[-1]

@@ -30,7 +30,15 @@ from marvel.bench import (
     skeleton_metrics,
     solve,
 )
-from marvel.ci import CiOracle, Dataset, dsep_oracle, fisher_z_oracle, load_dataset
+from marvel.ci import (
+    CiOracle,
+    Dataset,
+    DsepOracle,
+    FisherZOracle,
+    dsep_oracle,
+    fisher_z_oracle,
+    load_dataset,
+)
 from marvel.graph import Dag, Pdag, load_dag, load_pdag
 from marvel.marvel import ci_budget_bound, marvel_learn
 from marvel.mb import MbMap, total_conditioning
@@ -166,7 +174,7 @@ class TestUndecidedQueryWarnings:
 class TestExperimentConfig:
     def test_valid_dsep_config(self):
         cfg = ExperimentConfig(
-            generator="erdos_renyi", p=6, algo="marvel", oracle="dsep",
+            generator="erdos_renyi", p=6, algo="marvel",
             seeds=(0, 1), m=5,
         )
         assert cfg.seeds == (0, 1)
@@ -176,27 +184,36 @@ class TestExperimentConfig:
         [
             {"generator": "nope"},
             {"algo": "nope"},
-            {"oracle": "nope"},
             {"seeds": ()},
             {"p": 0},
             {"m": None},
-            {"oracle": "fisher_z"},
-            {"oracle": "dsep", "n_samples": 100},
+            {"n_samples": 1},
+            {"n_samples": 100, "alpha": 1.0},
             {"alpha": 0.01},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         base = dict(
-            generator="erdos_renyi", p=6, algo="marvel", oracle="dsep",
+            generator="erdos_renyi", p=6, algo="marvel",
             seeds=(0,), m=5,
         )
         with pytest.raises(ValueError):
             ExperimentConfig(**{**base, **kwargs})
 
+    def test_n_samples_is_the_only_oracle_setting(self):
+        # the sample size picks the oracle, so there is no field naming it
+        assert "oracle" not in {f.name for f in fields(ExperimentConfig)}
+        assert not hasattr(bench, "ORACLES")
+        with pytest.raises(TypeError):
+            ExperimentConfig(
+                generator="erdos_renyi", p=6, algo="marvel", oracle="dsep",
+                seeds=(0,), m=5,
+            )
+
     def test_fixed_indegree_needs_delta(self):
         with pytest.raises(ValueError):
             ExperimentConfig(
-                generator="fixed_indegree", p=6, algo="pc", oracle="dsep",
+                generator="fixed_indegree", p=6, algo="pc",
                 seeds=(0,),
             )
 
@@ -209,7 +226,6 @@ class TestParseConfig:
         p = 25            # vertices
         delta_in = 3
         algo = marvel
-        oracle = fisher_z
         n_samples = 1250
         alpha = 0.0032
         seeds = 0..2, 7
@@ -218,7 +234,7 @@ class TestParseConfig:
         cfg = parse_config(text)
         assert cfg == ExperimentConfig(
             generator="fixed_indegree", p=25, algo="marvel",
-            oracle="fisher_z", seeds=(0, 1, 2, 7), delta_in=3,
+            seeds=(0, 1, 2, 7), delta_in=3,
             n_samples=1250, alpha=0.0032,
         )
 
@@ -231,14 +247,14 @@ class TestParseConfig:
     def test_seed_ranges_are_inclusive(self):
         cfg = parse_config(
             "generator = erdos_renyi\np = 4\nm = 2\nalgo = pc\n"
-            "oracle = dsep\nseeds = 5..8\n"
+            "seeds = 5..8\n"
         )
         assert cfg.seeds == (5, 6, 7, 8)
 
     def test_empty_seed_tokens_are_skipped(self):
         cfg = parse_config(
             "generator = erdos_renyi\np = 4\nm = 2\nalgo = pc\n"
-            "oracle = dsep\nseeds = 0,,2,\n"
+            "seeds = 0,,2,\n"
         )
         assert cfg.seeds == (0, 2)
 
@@ -247,27 +263,27 @@ class TestParseConfig:
         [
             "generator erdos_renyi",
             "bogus_key = 1\ngenerator = erdos_renyi\np = 4\nm = 1\n"
-            "algo = pc\noracle = dsep\nseeds = 0",
-            "generator = erdos_renyi\np = 4\nm = 1\nalgo = pc\noracle = dsep",
+            "algo = pc\nseeds = 0",
+            "generator = erdos_renyi\np = 4\nm = 1\nalgo = pc",
             "generator = erdos_renyi\np = 4\nm = 1\nalgo = pc\n"
-            "oracle = dsep\nseeds = 3..1",
+            "seeds = 3..1",
             "generator = erdos_renyi\np = 4\nm = 1\nalgo = pc\n"
-            "oracle = dsep\nseeds = 0\nrecord_wall = yes",
+            "seeds = 0\nrecord_wall = yes",
             # the simulation ranges are fixed, so they are unknown keys
             "generator = erdos_renyi\np = 4\nm = 1\nalgo = pc\n"
-            "oracle = fisher_z\nn_samples = 50\nseeds = 0\ncoeff_lo = 0.7",
+            "n_samples = 50\nseeds = 0\ncoeff_lo = 0.7",
             # a repeated key is an error, not a silent override
             "p = 5\ngenerator = erdos_renyi\np = 9\nm = 1\nalgo = pc\n"
-            "oracle = dsep\nseeds = 0",
+            "seeds = 0",
             "seeds = 0\ngenerator = erdos_renyi\np = 4\nm = 1\nalgo = pc\n"
-            "oracle = dsep\nseeds = 1",
+            "seeds = 1",
             # a parameter the generator family ignores is an error
             "generator = fixed_indegree\np = 8\ndelta_in = 2\nm = 5\n"
-            "algo = pc\noracle = dsep\nseeds = 0",
+            "algo = pc\nseeds = 0",
             "generator = cluster\np = 8\ndelta_in = 2\nm = 5\n"
-            "algo = pc\noracle = dsep\nseeds = 0",
+            "algo = pc\nseeds = 0",
             "generator = erdos_renyi\np = 8\nm = 5\ndelta_in = 2\n"
-            "algo = pc\noracle = dsep\nseeds = 0",
+            "algo = pc\nseeds = 0",
         ],
     )
     def test_bad_config_text_rejected(self, text):
@@ -276,7 +292,7 @@ class TestParseConfig:
 
 
 DSEP_CFG = ExperimentConfig(
-    generator="fixed_indegree", p=10, algo="marvel", oracle="dsep",
+    generator="fixed_indegree", p=10, algo="marvel",
     seeds=(0, 1, 2, 3), delta_in=2,
 )
 
@@ -338,9 +354,26 @@ class TestRunExperiment:
         assert [r["within_budget"] for r in rows[:-1]] == within
         assert rows[-1]["within_budget"] == sum(within) / len(posts)
 
+    @pytest.mark.parametrize(
+        "n_samples, kind", [(None, DsepOracle), (50, FisherZOracle)]
+    )
+    def test_n_samples_picks_the_oracle(self, n_samples, kind, monkeypatch):
+        seen = []
+
+        def spy(oracle, algo):
+            seen.append(type(oracle))
+            return solve(oracle, algo)
+
+        monkeypatch.setattr(bench, "solve", spy)
+        run_experiment(ExperimentConfig(
+            generator="erdos_renyi", p=5, algo="marvel", seeds=(0, 1), m=4,
+            n_samples=n_samples,
+        ))
+        assert seen == [kind, kind]
+
     def test_finite_sample_run_completes(self):
         cfg = ExperimentConfig(
-            generator="erdos_renyi", p=6, algo="pc", oracle="fisher_z",
+            generator="erdos_renyi", p=6, algo="pc",
             seeds=(0, 1), m=6, n_samples=400,
         )
         rows = run_experiment(cfg)
@@ -351,7 +384,7 @@ class TestRunExperiment:
 
     def test_generator_failure_carries_seed_context(self):
         cfg = ExperimentConfig(
-            generator="erdos_renyi", p=4, algo="marvel", oracle="dsep",
+            generator="erdos_renyi", p=4, algo="marvel",
             seeds=(9,), m=100,
         )
         with pytest.raises(ValueError, match="seed 9"):
@@ -359,12 +392,12 @@ class TestRunExperiment:
 
     def test_wall_clock_zeroed_unless_recorded(self):
         quick = ExperimentConfig(
-            generator="erdos_renyi", p=5, algo="marvel", oracle="dsep",
+            generator="erdos_renyi", p=5, algo="marvel",
             seeds=(0,), m=4,
         )
         assert run_experiment(quick)[0]["wall_ms"] == 0.0
         timed = ExperimentConfig(
-            generator="erdos_renyi", p=5, algo="marvel", oracle="dsep",
+            generator="erdos_renyi", p=5, algo="marvel",
             seeds=(0,), m=4, record_wall=True,
         )
         assert run_experiment(timed)[0]["wall_ms"] > 0.0
@@ -447,7 +480,7 @@ class TestCli:
         out = tmp_path / "results.csv"
         cfg.write_text(
             "generator = fixed_indegree\np = 8\ndelta_in = 2\n"
-            "algo = marvel\noracle = dsep\nseeds = 0..3\n"
+            "algo = marvel\nseeds = 0..3\n"
         )
         assert cli.main(["bench", str(cfg), "--out", str(out)]) == 0
         first = out.read_text()
@@ -456,7 +489,12 @@ class TestCli:
         assert cli.main(["bench", str(cfg), "--out", str(out)]) == 0
         assert out.read_text() == first
         capsys.readouterr()
-        assert cli.main(["bench", str(cfg), "--algo", "pc", "--seed", "1"]) == 0
+        one = tmp_path / "one.txt"
+        one.write_text(
+            "generator = fixed_indegree\np = 8\ndelta_in = 2\n"
+            "algo = pc\nseeds = 1\n"
+        )
+        assert cli.main(["bench", str(one)]) == 0
         stdout = capsys.readouterr().out
         assert stdout.startswith(",".join(CSV_COLUMNS))
         assert "\npc,1," in stdout
@@ -516,21 +554,49 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: --alpha applies to the fisher_z oracle only\n"
 
-    def test_bench_alpha_flag_equals_config_alpha(self, tmp_path, capsys):
-        cfg = (
+    @pytest.mark.parametrize(
+        "flag", [["--algo", "pc"], ["--alpha", "0.2"], ["--seed", "1"]]
+    )
+    def test_bench_takes_no_setting_flags(self, flag, tmp_path, capsys):
+        # the config file is the one source of each setting
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
             "generator = erdos_renyi\np = 8\nm = 10\nalgo = marvel\n"
-            "oracle = fisher_z\nn_samples = 100\nseeds = 0..2\n"
+            "n_samples = 100\nseeds = 0..2\n"
         )
-        plain = tmp_path / "plain.cfg"
-        plain.write_text(cfg)
-        with_alpha = tmp_path / "alpha.cfg"
-        with_alpha.write_text(cfg + "alpha = 0.2\n")
-        assert cli.main(["bench", str(plain), "--alpha", "0.2"]) == 0
-        flag = capsys.readouterr().out
-        assert cli.main(["bench", str(with_alpha)]) == 0
-        assert capsys.readouterr().out == flag
-        assert cli.main(["bench", str(plain)]) == 0
-        assert capsys.readouterr().out != flag
+        assert cli.main(["bench", str(cfg), *flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+    def test_bench_help_lists_config_and_out_only(self, capsys):
+        assert cli.main(["bench", "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n", 1)[0]
+        assert usage == "usage: marvel bench [-h] [--out OUT] config"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["generate", "--generator", "erdos_renyi", "--p", "4", "--m",
+              "3", "--out", "x", "--data", "./x", "--n-samples", "10"],
+             "--data"),
+            (["learn", "--graph", "g.edges", "--out", "g.edges"], "--graph"),
+            (["learn", "--data", "d.csv", "--out", "sub/../d.csv"], "--data"),
+            (["bench", "cfg.txt", "--out", "cfg.txt"], "config"),
+        ],
+        ids=["generate", "learn_graph", "learn_data", "bench"],
+    )
+    def test_out_over_another_file_exits_1(
+        self, argv, flag, tmp_path, monkeypatch, capsys
+    ):
+        # rejected before anything is read or written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out and {flag} name the same file\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["sub"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -612,10 +678,10 @@ class TestCli:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
             "generator = erdos_renyi\np = 5\nm = 1\nalgo = marvel\n"
-            "oracle = dsep\nseeds = 0\np = 9\n"
+            "seeds = 0\np = 9\n"
         )
         assert cli.main(["bench", str(cfg)]) == 1
-        assert "config line 7: repeated key 'p'" in capsys.readouterr().err
+        assert "config line 6: repeated key 'p'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "regime",
@@ -626,38 +692,38 @@ class TestCli:
     ):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
-            f"{regime}\np = 3\nalgo = marvel\noracle = dsep\nseeds = 0\n"
+            f"{regime}\np = 3\nalgo = marvel\nseeds = 0\n"
         )
         assert cli.main(["bench", str(cfg)]) == 1
         assert "seed 0: need 0 <=" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "extra, flags, message",
+        "extra, message",
         [
             (
-                "n_samples = -5\n", [],
+                "n_samples = -5\n",
                 "need at least two samples for a correlation matrix",
             ),
             (
-                "n_samples = 50\nalpha = 2\n", [],
+                "n_samples = 50\nalpha = 2\n",
                 "alpha must be in (0, 1), got 2.0",
             ),
             (
-                "n_samples = 50\n", ["--alpha", "2"],
-                "alpha must be in (0, 1), got 2.0",
+                "alpha = 0.05\n",
+                "alpha applies to the fisher_z oracle only",
             ),
         ],
-        ids=["n_samples", "alpha", "alpha_flag"],
+        ids=["n_samples", "alpha", "alpha_without_n_samples"],
     )
     def test_bench_config_error_blames_no_seed(
-        self, extra, flags, message, tmp_path, capsys
+        self, extra, message, tmp_path, capsys
     ):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
             "generator = fixed_indegree\np = 5\ndelta_in = 2\nalgo = marvel\n"
-            f"oracle = fisher_z\nseeds = 3..5\n{extra}"
+            f"seeds = 3..5\n{extra}"
         )
-        assert cli.main(["bench", str(cfg), *flags]) == 1
+        assert cli.main(["bench", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
@@ -666,7 +732,7 @@ class TestCli:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
             "generator = erdos_renyi\np = 4\nm = 2\nalgo = pc\n"
-            "oracle = dsep\nseeds = ,\n"
+            "seeds = ,\n"
         )
         assert cli.main(["bench", str(cfg)]) == 1
         captured = capsys.readouterr()
@@ -709,7 +775,7 @@ class TestCli:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
             "generator = erdos_renyi\np = 4\nm = 2\n"
-            "algo = marvel\noracle = dsep\nseeds = 0\n"
+            "algo = marvel\nseeds = 0\n"
         )
         def boom(_cfg):
             raise RuntimeError("forced failure")

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 import weakref
 from itertools import combinations
 from math import atanh, sqrt
@@ -286,6 +287,16 @@ class TestQueryValidation:
         with pytest.raises(TypeError):
             o.query(*query)
         assert (o.stats(), o.stats() - start, o.n_degenerate) == before
+
+    def test_oracle_without_decide_raises_uncounted(self):
+        class Undecided(ci.CiOracle):
+            p = 3
+
+        o = Undecided()
+        for s in ((), REST):
+            with pytest.raises(NotImplementedError):
+                o.query(0, 1, s)
+        assert o.stats() == CiStats()
 
     @pytest.mark.parametrize(
         "p, s",
@@ -746,6 +757,21 @@ class TestDataset:
         vals[4, 1] = bad
         with pytest.raises(ValueError, match="column 1"):
             Dataset(vals)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_rejects_a_column_off_the_float_scale(self, scale):
+        # the variance overflows or underflows; a 1e-200 column is not
+        # constant, though its standard deviation underflows to 0
+        vals = np.random.default_rng(13).normal(size=(50, 3))
+        vals[:, 1] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError,
+                match=r"^column 1 is too large or too small for a correlation "
+                r"matrix; rescale it$",
+            ):
+                Dataset(vals)
 
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):

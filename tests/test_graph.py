@@ -83,6 +83,12 @@ class TestDagConstruction:
         b = Dag(3, [(1, 2), (0, 1)])
         assert a == b and hash(a) == hash(b)
 
+    def test_pdag_value_equality(self):
+        a = Pdag(3, directed=[(0, 2)], undirected=[(1, 2)])
+        b = Pdag(3, directed=[(0, 2)], undirected=[(2, 1)])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Pdag(3, undirected=[(0, 2), (1, 2)])}) == 2
+
     def test_induced_subgraph(self):
         sub, remap = induced_subgraph(DIAMOND, [0, 1, 2])
         assert remap == {0: 0, 1: 1, 2: 2}

@@ -8,7 +8,11 @@ import re
 from functools import reduce
 from pathlib import Path
 
+import pytest
+
 import marvel
+from marvel import cli
+from marvel.bench import parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,6 +25,16 @@ def quickstart_blocks():
     text = README.read_text(encoding="utf-8")
     section = text.split("## Library quickstart", 1)[1].split("\n## ", 1)[0]
     return re.findall(r"```python\n(.*?)```", section, flags=re.S)
+
+
+def command_lines():
+    """Each ``marvel`` line of the Command line section's sh block, with
+    its backslash continuations joined, as an argument list."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```sh\n(.*?)```", section, flags=re.S)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.split()[1:] for line in lines if line.startswith("marvel ")]
 
 
 def run_exact_quickstart():
@@ -79,3 +93,24 @@ def test_cited_names_resolve():
         except AttributeError:
             unresolved.append(name)
     assert unresolved == []
+
+
+def test_command_lines_parse():
+    argvs = command_lines()
+    assert {argv[0] for argv in argvs} == {
+        "generate", "learn", "bench", "oracle-check"
+    }
+    parser = cli._build_parser()
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: marvel {' '.join(argv)}")
+
+
+def test_example_config_parses():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Experiment config files", 1)[1]
+    example = section.split("Example:", 1)[1].split("```", 2)[1]
+    cfg = parse_config(example)
+    assert (cfg.p, cfg.n_samples, cfg.seeds) == (50, 2500, tuple(range(10)))

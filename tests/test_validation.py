@@ -31,7 +31,7 @@ CHAIN = Dag(3, [(0, 1), (1, 2)])
 
 def fisher_z_config(**fields):
     base = dict(
-        generator="fixed_indegree", p=5, algo="marvel", oracle="fisher_z",
+        generator="fixed_indegree", p=5, algo="marvel",
         seeds=(0,), delta_in=2, n_samples=50,
     )
     return lambda: ExperimentConfig(**{**base, **fields})
@@ -120,9 +120,20 @@ CASES = {
     "config_seeds_of_empty_tokens_only": (
         lambda: parse_config(
             "generator = erdos_renyi\np = 4\nm = 2\nalgo = pc\n"
-            "oracle = dsep\nseeds = ,\n"
+            "seeds = ,\n"
         ),
         "need at least one seed",
+    ),
+    "config_alpha_without_n_samples": (
+        fisher_z_config(n_samples=None, alpha=0.05),
+        "alpha applies to the fisher_z oracle only",
+    ),
+    "config_oracle_key": (
+        lambda: parse_config(
+            "generator = erdos_renyi\np = 4\nm = 2\nalgo = pc\n"
+            "oracle = dsep\nseeds = 0\n"
+        ),
+        "config key 'oracle': unknown key",
     ),
 }
 
