@@ -133,6 +133,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown algo {self.algo!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonnegative, got {min(self.seeds)}")
         if self.p < 1:
             raise ValueError("p must be positive")
         # Checked here so that no seed's graph or data is made first.

@@ -175,8 +175,9 @@ class Dataset:
     """n x p sample matrix with its correlation matrix computed once.
 
     Requires n >= 2 rows and finite, nonconstant columns whose variance
-    neither overflows nor underflows (as 1e200 or 1e-200 times a normal
-    column does), since the correlation matrix is undefined otherwise.
+    neither overflows nor falls below the smallest normal float (as 1e200
+    or 1e-158 times a normal column does): the correlation matrix is
+    undefined or silently inaccurate otherwise.
     """
 
     __slots__ = ("n", "p", "values", "corr")
@@ -194,10 +195,11 @@ class Dataset:
             # The range, unlike the standard deviation, cannot underflow to
             # 0. corrcoef returns a 0-d array for a single column.
             spread = np.ptp(values, axis=0)
+            var = np.var(values, axis=0)
             corr = np.atleast_2d(np.corrcoef(values, rowvar=False))
         _check_columns(spread == 0.0, "is constant; correlation undefined")
         _check_columns(
-            ~np.isfinite(corr.diagonal()),
+            ~np.isfinite(corr.diagonal()) | (var < np.finfo(float).tiny),
             "is too large or too small for a correlation matrix; rescale it",
         )
         self.n = n

@@ -136,14 +136,26 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     _check_out(args.out, "config", args.config)
-    rows = run_experiment(load_config(args.config))
-    text = rows_to_csv(rows)
-    if args.out:
+    cfg = load_config(args.config)
+    if not args.out:
+        sys.stdout.write(rows_to_csv(run_experiment(cfg)))
+        return 0
+    # Opened before the first seed runs, so an unwritable path costs no
+    # run. Appending leaves an earlier file's bytes alone; only a file this
+    # run created is removed when the run or its write fails.
+    created = not os.path.lexists(args.out)
+    with open(args.out, "a", encoding="utf-8"):
+        pass
+    try:
+        rows = run_experiment(cfg)
+        text = rows_to_csv(rows)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {args.out} ({len(rows)} rows)")
-    else:
-        sys.stdout.write(text)
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 

@@ -13,7 +13,9 @@ compare against, ``pc_baseline``, fills the same record by edge removal.
 
 All batteries run against the current Markov boundary only, which keeps the
 conditioning sets small; cross-round caches avoid repeating queries whose
-answers removals cannot change.
+answers removals cannot change. A battery splits the boundary by its
+co-parents, each mapped to a separating set; the other members are the
+neighbors. Boundaries only shrink, so cached co-parents keep that split.
 """
 
 from __future__ import annotations
@@ -38,32 +40,20 @@ from .mb import MbMap, update_after_removal
 
 
 @dataclass
-class NeighborInfo:
-    """Split of one variable's Markov boundary into neighbors and co-parents.
-
-    The co-parents are the keys of ``sepsets``: ``sepsets[t]`` is the first
-    separating set found for co-parent t; it witnesses that t is not
-    adjacent.
-    """
-
-    neighbors: frozenset[int]
-    sepsets: dict[int, frozenset[int]]
-
-
-@dataclass
 class MarvelCaches:
     """Cross-round memory.
 
-    neighbor_info and vpa hold one entry per variable, filtered to survivors
-    on re-entry; x's vpa entry is the frozenset of collider pairs (y, t),
-    x -> y <- t with x, t nonadjacent. cond1_nosep records (x, {z, w})
-    pairs proven inseparable by any set containing x; cond2_nosep records
-    ({z, t}, {x, y}) combinations proven inseparable by any set containing
-    both x and y. Entries are only invalidated by vertex removal, never by
-    anything else.
+    sepsets and vpa hold one entry per variable, filtered to the current
+    boundary on re-entry: x's sepsets entry maps each co-parent to its
+    separating set, and its vpa entry is the frozenset of collider pairs
+    (y, t), x -> y <- t with x, t nonadjacent. cond1_nosep records
+    (x, {z, w}) pairs proven inseparable by any set containing x;
+    cond2_nosep records ({z, t}, {x, y}) combinations proven inseparable by
+    any set containing both x and y. Entries are only invalidated by vertex
+    removal, never by anything else.
     """
 
-    neighbor_info: dict[int, NeighborInfo] = field(default_factory=dict)
+    sepsets: dict[int, dict[int, frozenset[int]]] = field(default_factory=dict)
     vpa: dict[int, frozenset[tuple[int, int]]] = field(default_factory=dict)
     cond1_nosep: set[tuple[int, frozenset[int]]] = field(default_factory=set)
     cond2_nosep: set[tuple[frozenset[int], frozenset[int]]] = field(
@@ -87,40 +77,34 @@ class LearnResult:
 
 
 def find_neighbors(
-    x: int, mb_x: Iterable[int], oracle: CiOracle, caches: MarvelCaches
-) -> NeighborInfo:
-    """Split mb_x into neighbors and co-parents of x.
+    x: int, mb_x: frozenset[int], oracle: CiOracle, caches: MarvelCaches
+) -> dict[int, frozenset[int]]:
+    """x's co-parents in mb_x, each mapped to its separating set.
 
     A boundary member y is a co-parent iff some proper subset of
     mb_x - {y} separates it from x; the first such subset (searched in
-    increasing cardinality) is recorded as its sepset. At most
-    2**(|mb_x| - 1) - 1 queries per member. On re-entry the cached split is
-    filtered to the current boundary with zero new queries.
+    increasing cardinality) is recorded, and the rest of mb_x are x's
+    neighbors. At most 2**(|mb_x| - 1) - 1 queries per member. On re-entry
+    the cached co-parents are filtered to mb_x with zero new queries;
+    boundaries only shrink, so this keeps the split the first battery found.
     """
-    mb_x = frozenset(mb_x)
-    cached = caches.neighbor_info.get(x)
+    cached = caches.sepsets.get(x)
     if cached is not None:
-        return NeighborInfo(
-            neighbors=cached.neighbors & mb_x,
-            sepsets={t: s for t, s in cached.sepsets.items() if t in mb_x},
-        )
-    neighbors = set()
+        return {t: s for t, s in cached.items() if t in mb_x}
     sepsets: dict[int, frozenset[int]] = {}
     for y in sorted(mb_x):
         s = oracle.search(x, y, mb_x - {y}, sizes=range(len(mb_x) - 1))
-        if s is None:
-            neighbors.add(y)
-        else:
+        if s is not None:
             sepsets[y] = s
-    info = NeighborInfo(frozenset(neighbors), sepsets)
-    caches.neighbor_info[x] = info
-    return info
+    caches.sepsets[x] = sepsets
+    return sepsets
 
 
 def find_vpa(
     x: int,
-    info: NeighborInfo,
-    mb_x: Iterable[int],
+    neighbors: frozenset[int],
+    sepsets: dict[int, frozenset[int]],
+    mb_x: frozenset[int],
     oracle: CiOracle,
     caches: MarvelCaches,
 ) -> frozenset[tuple[int, int]]:
@@ -129,19 +113,16 @@ def find_vpa(
 
     A neighbor y is a common child of x and t iff y is outside the recorded
     sepset of t and no subset of mb_x | {x} - {y, t} separates y from t.
-    Cached across rounds; on re-entry pairs are pruned to members that are
-    still live neighbors and co-parents, with zero new queries.
+    Cached across rounds; on re-entry pairs are pruned to members still in
+    mb_x, with zero new queries.
     """
-    mb_x = frozenset(mb_x)
     cached = caches.vpa.get(x)
     if cached is not None:
-        return frozenset(
-            (y, t) for y, t in cached if y in info.neighbors and t in info.sepsets
-        )
+        return frozenset((y, t) for y, t in cached if y in mb_x and t in mb_x)
     pool_base = mb_x | {x}
     colliders = set()
-    for t, s_xt in sorted(info.sepsets.items()):
-        for y in sorted(info.neighbors):
+    for t, s_xt in sorted(sepsets.items()):
+        for y in sorted(neighbors):
             if y in s_xt:
                 continue
             if oracle.search(y, t, pool_base - {y, t}) is None:
@@ -153,8 +134,8 @@ def find_vpa(
 
 def check_condition1(
     x: int,
-    info: NeighborInfo,
-    mb_x: Iterable[int],
+    neighbors: frozenset[int],
+    mb_x: frozenset[int],
     oracle: CiOracle,
     caches: MarvelCaches,
 ) -> bool:
@@ -163,8 +144,7 @@ def check_condition1(
     Short-circuits false on the first separated pair. Pairs that survive a
     full sweep are recorded in cond1_nosep and never retested for this x.
     """
-    mb_x = frozenset(mb_x)
-    for z, w in combinations(sorted(info.neighbors), 2):
+    for z, w in combinations(sorted(neighbors), 2):
         key = (x, frozenset((z, w)))
         if key in caches.cond1_nosep:
             continue
@@ -176,9 +156,9 @@ def check_condition1(
 
 def check_condition2(
     x: int,
-    info: NeighborInfo,
+    neighbors: frozenset[int],
     vpa: frozenset[tuple[int, int]],
-    mb_x: Iterable[int],
+    mb_x: frozenset[int],
     oracle: CiOracle,
     caches: MarvelCaches,
 ) -> bool:
@@ -189,9 +169,8 @@ def check_condition2(
     Short-circuits false on the first separated combination; exhausted
     combinations are recorded in cond2_nosep and never retested.
     """
-    mb_x = frozenset(mb_x)
     for y, t in sorted(vpa):
-        for z in sorted(info.neighbors - {y}):
+        for z in sorted(neighbors - {y}):
             key = (frozenset((z, t)), frozenset((x, y)))
             if key in caches.cond2_nosep:
                 continue
@@ -203,22 +182,23 @@ def check_condition2(
 
 def is_removable_ci(
     x: int, mb_x: Iterable[int], oracle: CiOracle, caches: MarvelCaches
-) -> tuple[bool, NeighborInfo, frozenset[tuple[int, int]]]:
+) -> tuple[bool, frozenset[int], frozenset[tuple[int, int]]]:
     """Full removability battery for x against its current boundary.
 
     Composes neighbor discovery, the neighbor-pair condition, collider
-    discovery, and the co-parent condition, in that order. The returned
-    artifacts let the caller wire edges and orientations; the collider set is
+    discovery, and the co-parent condition, in that order. Returns the
+    verdict, x's neighbors and the collider pairs; the collider set is
     empty when the first condition already failed (none were computed).
     """
     mb_x = frozenset(mb_x)
-    info = find_neighbors(x, mb_x, oracle, caches)
-    if not check_condition1(x, info, mb_x, oracle, caches):
-        return False, info, frozenset()
-    vpa = find_vpa(x, info, mb_x, oracle, caches)
-    if not check_condition2(x, info, vpa, mb_x, oracle, caches):
-        return False, info, vpa
-    return True, info, vpa
+    sepsets = find_neighbors(x, mb_x, oracle, caches)
+    neighbors = mb_x.difference(sepsets)
+    if not check_condition1(x, neighbors, mb_x, oracle, caches):
+        return False, neighbors, frozenset()
+    vpa = find_vpa(x, neighbors, sepsets, mb_x, oracle, caches)
+    if not check_condition2(x, neighbors, vpa, mb_x, oracle, caches):
+        return False, neighbors, vpa
+    return True, neighbors, vpa
 
 
 def ci_budget_bound(p: int, delta_in: int) -> int:
@@ -345,7 +325,7 @@ def _eliminate(
     heapify(scan)
 
     while len(order) < p:
-        first: tuple[int, NeighborInfo] | None = None
+        first: tuple[int, frozenset[int]] | None = None
         popped: list[tuple[int, int]] = []
         while scan:
             entry = heappop(scan)
@@ -354,17 +334,17 @@ def _eliminate(
                 continue
             popped.append(entry)
             mb_x = frozenset(m.mb[x])
-            verdict, info, vpa = is_removable_ci(x, mb_x, oracle, caches)
+            verdict, neighbors, vpa = is_removable_ci(x, mb_x, oracle, caches)
             if first is None:
-                first = x, info
-            pairs.update(_pair(x, y) for y in info.neighbors)
+                first = x, neighbors
+            pairs.update(_pair(x, y) for y in neighbors)
             for y, t in sorted(vpa):
                 _orient(heads, x, y, warnings)
                 _orient(heads, t, y, warnings)
             if verdict:
                 break
         else:
-            x, info = first
+            x, neighbors = first
             warnings.append(
                 f"no removable vertex in round {len(order)}; "
                 f"forcing removal of {x}"
@@ -375,7 +355,7 @@ def _eliminate(
                 heappush(scan, entry)
         # Only the removed vertex's old boundary can shrink.
         touched = list(m.mb[x])
-        update_after_removal(m, x, sorted(info.neighbors), oracle)
+        update_after_removal(m, x, sorted(neighbors), oracle)
         for v in touched:
             heappush(scan, (len(m.mb[v]), v))
 

@@ -185,6 +185,10 @@ class TestExperimentConfig:
             {"generator": "nope"},
             {"algo": "nope"},
             {"seeds": ()},
+            # rejected for every generator, cluster (which ignores seeds)
+            # included, before seed 0 runs
+            {"seeds": (0, -1)},
+            {"generator": "cluster", "m": None, "delta_in": 2, "seeds": (-3,)},
             {"p": 0},
             {"m": None},
             {"n_samples": 1},
@@ -727,6 +731,82 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_bench_unwritable_out_runs_no_seed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "generator = fixed_indegree\np = 8\ndelta_in = 2\n"
+            "algo = marvel\nseeds = 0..1\n"
+        )
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", calls.append)
+        out = tmp_path / "missing" / "results.csv"
+        assert cli.main(["bench", str(cfg), "--out", str(out)]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert calls == []
+
+    def test_failed_bench_removes_its_out(self, tmp_path, capsys):
+        cfg = self._failing_cfg(tmp_path)
+        out = tmp_path / "results.csv"
+        assert cli.main(["bench", str(cfg), "--out", str(out)]) == 1
+        assert "seed 0: need 0 <=" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["cfg.txt"]
+
+    def _failing_cfg(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "generator = cluster\ndelta_in = -1\np = 3\nalgo = marvel\n"
+            "seeds = 0\n"
+        )
+        return cfg
+
+    def test_failed_bench_keeps_an_earlier_out(self, tmp_path, capsys):
+        cfg = self._failing_cfg(tmp_path)
+        out = tmp_path / "results.csv"
+        out.write_bytes(b"earlier,results\n1,2\n")
+        assert cli.main(["bench", str(cfg), "--out", str(out)]) == 1
+        assert "seed 0: need 0 <=" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier,results\n1,2\n"
+
+    def test_failed_bench_never_unlinks_a_symlinked_out(
+        self, tmp_path, capsys
+    ):
+        cfg = self._failing_cfg(tmp_path)
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"kept\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        dangling = tmp_path / "dangling.csv"
+        dangling.symlink_to(tmp_path / "nowhere.csv")
+        for out in (link, dangling):
+            assert cli.main(["bench", str(cfg), "--out", str(out)]) == 1
+            assert out.is_symlink()
+        assert target.read_bytes() == b"kept\n"
+        capsys.readouterr()
+
+    def test_failed_write_removes_only_a_new_out(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "generator = fixed_indegree\np = 6\ndelta_in = 2\n"
+            "algo = marvel\nseeds = 0\n"
+        )
+
+        def no_space(rows):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "rows_to_csv", no_space)
+        new = tmp_path / "new.csv"
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"old\n")
+        for out in (new, old):
+            assert cli.main(["bench", str(cfg), "--out", str(out)]) == 1
+            assert "No space left on device" in capsys.readouterr().err
+        assert not new.exists()
+        assert old.read_bytes() == b"old\n"
 
     def test_bench_seeds_of_empty_tokens_only_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

@@ -758,9 +758,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="column 1"):
             Dataset(vals)
 
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("scale", [1e200, 1e-158, 1e-160, 1e-200])
     def test_rejects_a_column_off_the_float_scale(self, scale):
-        # the variance overflows or underflows; a 1e-200 column is not
+        # the variance overflows, is subnormal (its correlations would
+        # lose digits silently) or underflows; a 1e-200 column is not
         # constant, though its standard deviation underflows to 0
         vals = np.random.default_rng(13).normal(size=(50, 3))
         vals[:, 1] *= scale

@@ -13,6 +13,7 @@ conflicts included, are pinned here for a few cells and by
 
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from reference import (
     induced_subgraph,
     is_removable_graphical,
     markov_boundary_graphical,
+    neighbors,
 )
 from marvel import marvel as marvel_module
 from marvel.bench import pc_baseline, simulate_dataset, solve
@@ -57,20 +59,23 @@ def battery_inputs(g, x):
     return oracle, frozenset(markov_boundary_graphical(g, x)), MarvelCaches()
 
 
+def split(x, mb, oracle, caches):
+    """x's neighbors and its co-parent -> sepset map, as the battery has them."""
+    sepsets = find_neighbors(x, mb, oracle, caches)
+    return mb.difference(sepsets), sepsets
+
+
 class TestFindNeighbors:
     def test_collider_splits_boundary(self):
         oracle, mb, caches = battery_inputs(COLLIDER, 0)
-        info = find_neighbors(0, mb, oracle, caches)
-        assert info.neighbors == {2}
-        assert set(info.sepsets) == {1}
-        assert info.sepsets == {1: frozenset()}
+        assert mb == {1, 2}
+        assert find_neighbors(0, mb, oracle, caches) == {1: frozenset()}
 
     def test_star_center_keeps_everyone(self):
         g = star(5)
         oracle, mb, caches = battery_inputs(g, 0)
-        info = find_neighbors(0, mb, oracle, caches)
-        assert info.neighbors == {1, 2, 3, 4}
-        assert set(info.sepsets) == frozenset()
+        assert mb == {1, 2, 3, 4}
+        assert find_neighbors(0, mb, oracle, caches) == {}
 
     def test_sepsets_are_proper_subsets(self):
         rng = random.Random(3)
@@ -79,48 +84,47 @@ class TestFindNeighbors:
             oracle = dsep_oracle(g)
             for x in range(g.p):
                 mb = frozenset(markov_boundary_graphical(g, x))
-                info = find_neighbors(x, mb, oracle, MarvelCaches())
-                assert info.neighbors | set(info.sepsets) == mb
-                assert not info.neighbors & set(info.sepsets)
-                for t, s in info.sepsets.items():
+                sepsets = find_neighbors(x, mb, oracle, MarvelCaches())
+                assert set(sepsets) == mb - neighbors(g, x)
+                for t, s in sepsets.items():
                     assert s < mb - {t}
 
     def test_reentry_filters_without_queries(self):
-        g = star(5)
-        oracle, mb, caches = battery_inputs(g, 0)
-        find_neighbors(0, mb, oracle, caches)
+        oracle, mb, caches = battery_inputs(TWO_CHILD, 0)
+        first = find_neighbors(0, mb, oracle, caches)
+        assert set(first) == {3}
         before = oracle.stats().n_tests
-        info = find_neighbors(0, mb - {4}, oracle, caches)
-        assert info.neighbors == {1, 2, 3}
+        assert find_neighbors(0, mb - {1}, oracle, caches) == first
+        assert find_neighbors(0, mb - {3}, oracle, caches) == {}
         assert oracle.stats().n_tests == before
 
 
 class TestFindVpa:
     def test_collider_triple(self):
         oracle, mb, caches = battery_inputs(COLLIDER, 0)
-        info = find_neighbors(0, mb, oracle, caches)
-        vpa = find_vpa(0, info, mb, oracle, caches)
+        nbrs, sepsets = split(0, mb, oracle, caches)
+        vpa = find_vpa(0, nbrs, sepsets, mb, oracle, caches)
         assert vpa == {(2, 1)}
 
     def test_chain_has_no_coparents(self):
         oracle, mb, caches = battery_inputs(CHAIN, 0)
-        info = find_neighbors(0, mb, oracle, caches)
-        vpa = find_vpa(0, info, mb, oracle, caches)
+        nbrs, sepsets = split(0, mb, oracle, caches)
+        vpa = find_vpa(0, nbrs, sepsets, mb, oracle, caches)
         assert vpa == frozenset()
 
     def test_two_shared_children(self):
         oracle, mb, caches = battery_inputs(TWO_CHILD, 0)
-        info = find_neighbors(0, mb, oracle, caches)
-        assert set(info.sepsets) == {3}
-        vpa = find_vpa(0, info, mb, oracle, caches)
+        nbrs, sepsets = split(0, mb, oracle, caches)
+        assert (nbrs, set(sepsets)) == ({1, 2}, {3})
+        vpa = find_vpa(0, nbrs, sepsets, mb, oracle, caches)
         assert vpa == {(1, 3), (2, 3)}
 
     def test_non_child_neighbor_excluded(self):
         # 2 has parents {0, 1} only, so (2, 3) must not appear
         g = Dag(4, [(3, 1), (0, 1), (0, 2), (1, 2)])
         oracle, mb, caches = battery_inputs(g, 0)
-        info = find_neighbors(0, mb, oracle, caches)
-        vpa = find_vpa(0, info, mb, oracle, caches)
+        nbrs, sepsets = split(0, mb, oracle, caches)
+        vpa = find_vpa(0, nbrs, sepsets, mb, oracle, caches)
         assert vpa == {(1, 3)}
 
     def test_triples_reference_current_split(self):
@@ -131,61 +135,63 @@ class TestFindVpa:
             for x in range(g.p):
                 mb = frozenset(markov_boundary_graphical(g, x))
                 caches = MarvelCaches()
-                info = find_neighbors(x, mb, oracle, caches)
-                vpa = find_vpa(x, info, mb, oracle, caches)
+                nbrs, sepsets = split(x, mb, oracle, caches)
+                vpa = find_vpa(x, nbrs, sepsets, mb, oracle, caches)
                 for y, t in vpa:
-                    assert y in info.neighbors
-                    assert t in set(info.sepsets)
+                    assert y in mb and y not in sepsets
+                    assert t in sepsets
+                    # a collider's common child is adjacent to both parents
+                    assert {x, t} <= neighbors(g, y)
 
 
 class TestConditions:
     def test_star_center_fails_condition1(self):
         g = star(4)
         oracle, mb, caches = battery_inputs(g, 0)
-        info = find_neighbors(0, mb, oracle, caches)
-        assert not check_condition1(0, info, mb, oracle, caches)
+        nbrs, _ = split(0, mb, oracle, caches)
+        assert not check_condition1(0, nbrs, mb, oracle, caches)
 
     def test_single_neighbor_vacuous(self):
         oracle, mb, caches = battery_inputs(CHAIN, 0)
-        info = find_neighbors(0, mb, oracle, caches)
-        assert check_condition1(0, info, mb, oracle, caches)
+        nbrs, _ = split(0, mb, oracle, caches)
+        assert check_condition1(0, nbrs, mb, oracle, caches)
 
     def test_triangle_passes_condition1(self):
         g = Dag(3, [(0, 1), (1, 2), (0, 2)])
         oracle, mb, caches = battery_inputs(g, 1)
-        info = find_neighbors(1, mb, oracle, caches)
-        assert check_condition1(1, info, mb, oracle, caches)
+        nbrs, _ = split(1, mb, oracle, caches)
+        assert check_condition1(1, nbrs, mb, oracle, caches)
 
     def test_empty_vpa_vacuous_condition2(self):
         oracle, mb, caches = battery_inputs(CHAIN, 0)
-        info = find_neighbors(0, mb, oracle, caches)
-        vpa = find_vpa(0, info, mb, oracle, caches)
-        assert check_condition2(0, info, vpa, mb, oracle, caches)
+        nbrs, sepsets = split(0, mb, oracle, caches)
+        vpa = find_vpa(0, nbrs, sepsets, mb, oracle, caches)
+        assert check_condition2(0, nbrs, vpa, mb, oracle, caches)
 
     def test_shared_children_pass_condition2(self):
         oracle, mb, caches = battery_inputs(TWO_CHILD, 0)
-        info = find_neighbors(0, mb, oracle, caches)
-        vpa = find_vpa(0, info, mb, oracle, caches)
-        assert check_condition1(0, info, mb, oracle, caches)
-        assert check_condition2(0, info, vpa, mb, oracle, caches)
+        nbrs, sepsets = split(0, mb, oracle, caches)
+        vpa = find_vpa(0, nbrs, sepsets, mb, oracle, caches)
+        assert check_condition1(0, nbrs, mb, oracle, caches)
+        assert check_condition2(0, nbrs, vpa, mb, oracle, caches)
 
     def test_missing_coparent_edge_fails_condition2(self):
         # 3 -> 1 <- 0 with 0 -> 2 <- 1: conditioning on {0, 1} cuts 2 off
         # from 3, so removing 0 would hide that v-structure
         g = Dag(4, [(3, 1), (0, 1), (0, 2), (1, 2)])
         oracle, mb, caches = battery_inputs(g, 0)
-        info = find_neighbors(0, mb, oracle, caches)
-        vpa = find_vpa(0, info, mb, oracle, caches)
-        assert check_condition1(0, info, mb, oracle, caches)
-        assert not check_condition2(0, info, vpa, mb, oracle, caches)
+        nbrs, sepsets = split(0, mb, oracle, caches)
+        vpa = find_vpa(0, nbrs, sepsets, mb, oracle, caches)
+        assert check_condition1(0, nbrs, mb, oracle, caches)
+        assert not check_condition2(0, nbrs, vpa, mb, oracle, caches)
 
     def test_condition1_cache_skips_second_sweep(self):
         g = Dag(3, [(0, 1), (1, 2), (0, 2)])
         oracle, mb, caches = battery_inputs(g, 1)
-        info = find_neighbors(1, mb, oracle, caches)
-        assert check_condition1(1, info, mb, oracle, caches)
+        nbrs, _ = split(1, mb, oracle, caches)
+        assert check_condition1(1, nbrs, mb, oracle, caches)
         before = oracle.stats().n_tests
-        assert check_condition1(1, info, mb, oracle, caches)
+        assert check_condition1(1, nbrs, mb, oracle, caches)
         assert oracle.stats().n_tests == before
 
 
@@ -201,6 +207,16 @@ class TestIsRemovableCi:
         verdict, _, vpa = is_removable_ci(0, mb, oracle, caches)
         assert not verdict
         assert vpa == frozenset()
+
+    def test_any_iterable_boundary(self):
+        # the exported entry point freezes mb_x itself; a list or a set
+        # gives the same answer and a frozen neighbor set
+        oracle, mb, _ = battery_inputs(TWO_CHILD, 0)
+        want = is_removable_ci(0, mb, oracle, MarvelCaches())
+        for given in (sorted(mb), set(mb)):
+            got = is_removable_ci(0, given, oracle, MarvelCaches())
+            assert got == want
+            assert type(got[1]) is frozenset
 
     def test_matches_graphical_verdict(self):
         rng = random.Random(5)
@@ -438,6 +454,36 @@ def test_scan_tries_a_prefix_of_the_boundary_size_order(monkeypatch, recipe):
         assert forced == 0 and any(len(r[1]) > 1 for r in rounds)
     else:
         assert forced >= 1
+
+
+@pytest.mark.parametrize(
+    "recipe", ["exact-fixed_indegree", "exact-erdos_renyi", "fisher_z-forced"]
+)
+def test_boundary_never_grows_between_batteries(monkeypatch, recipe):
+    # find_neighbors reuses x's first split on every later battery, which
+    # is exact only because x's boundary never gains a member in between.
+    if recipe == "exact-fixed_indegree":
+        oracle = dsep_oracle(fixed_indegree_dag(30, 4, 3))
+    elif recipe == "exact-erdos_renyi":
+        oracle = dsep_oracle(erdos_renyi_dag(15, 30, 2))
+    else:
+        g = erdos_renyi_dag(12, 24, 1)
+        oracle = fisher_z_oracle(simulate_dataset(g, 100, 1), 0.2)
+    seen: dict[int, list[frozenset[int]]] = {}
+
+    def battery(x, mb_x, oracle, caches):
+        seen.setdefault(x, []).append(mb_x)
+        return is_removable_ci(x, mb_x, oracle, caches)
+
+    monkeypatch.setattr(marvel_module, "is_removable_ci", battery)
+    _, res = solve(oracle, "marvel")
+    for boundaries in seen.values():
+        for earlier, later in combinations(boundaries, 2):
+            assert later <= earlier
+    # some vertex met a smaller boundary in a later battery
+    assert any(b[-1] < b[0] for b in seen.values())
+    forced = sum("no removable vertex" in w for w in res.warnings)
+    assert (forced > 0) == recipe.startswith("fisher_z")
 
 
 def _essential_digest(ess):
