@@ -135,6 +135,9 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be nonnegative, got {min(self.seeds)}")
+        for i, seed in enumerate(self.seeds):
+            if seed in self.seeds[:i]:
+                raise ValueError(f"seed {seed} is repeated")
         if self.p < 1:
             raise ValueError("p must be positive")
         # Checked here so that no seed's graph or data is made first.

@@ -46,19 +46,15 @@ class MarvelCaches:
     sepsets and vpa hold one entry per variable, filtered to the current
     boundary on re-entry: x's sepsets entry maps each co-parent to its
     separating set, and its vpa entry is the frozenset of collider pairs
-    (y, t), x -> y <- t with x, t nonadjacent. cond1_nosep records
-    (x, {z, w}) pairs proven inseparable by any set containing x;
-    cond2_nosep records ({z, t}, {x, y}) combinations proven inseparable by
-    any set containing both x and y. Entries are only invalidated by vertex
-    removal, never by anything else.
+    (y, t), x -> y <- t with x, t nonadjacent. nosep holds the searches of
+    x's battery that found no separator, keyed (x, z, w) for condition 1 and
+    (x, y, z, t) for condition 2. Mb(x) only shrinks, so a repeat draws from
+    a subset of the pool and, for a deterministic oracle, fails again.
     """
 
     sepsets: dict[int, dict[int, frozenset[int]]] = field(default_factory=dict)
     vpa: dict[int, frozenset[tuple[int, int]]] = field(default_factory=dict)
-    cond1_nosep: set[tuple[int, frozenset[int]]] = field(default_factory=set)
-    cond2_nosep: set[tuple[frozenset[int], frozenset[int]]] = field(
-        default_factory=set
-    )
+    nosep: set[tuple[int, ...]] = field(default_factory=set)
 
 
 @dataclass
@@ -141,16 +137,16 @@ def check_condition1(
 ) -> bool:
     """True iff no pair of x's neighbors is separable by a set containing x.
 
-    Short-circuits false on the first separated pair. Pairs that survive a
-    full sweep are recorded in cond1_nosep and never retested for this x.
+    Short-circuits false on the first separated pair. A pair is recorded in
+    nosep as (x, z, w) as soon as its own search finds no separator.
     """
     for z, w in combinations(sorted(neighbors), 2):
-        key = (x, frozenset((z, w)))
-        if key in caches.cond1_nosep:
+        key = (x, z, w)
+        if key in caches.nosep:
             continue
         if oracle.search(z, w, mb_x - {z, w}, base=(x,)) is not None:
             return False
-        caches.cond1_nosep.add(key)
+        caches.nosep.add(key)
     return True
 
 
@@ -166,17 +162,18 @@ def check_condition2(
     set containing both x and the common child y.
 
     Requires check_condition1 to have passed for x in the current round.
-    Short-circuits false on the first separated combination; exhausted
-    combinations are recorded in cond2_nosep and never retested.
+    Short-circuits false on the first separated combination; one whose
+    search finds no separator is recorded in nosep as (x, y, z, t), keyed by
+    the battery's vertex x.
     """
     for y, t in sorted(vpa):
         for z in sorted(neighbors - {y}):
-            key = (frozenset((z, t)), frozenset((x, y)))
-            if key in caches.cond2_nosep:
+            key = (x, y, z, t)
+            if key in caches.nosep:
                 continue
             if oracle.search(z, t, mb_x - {z, y, t}, base=(x, y)) is not None:
                 return False
-            caches.cond2_nosep.add(key)
+            caches.nosep.add(key)
     return True
 
 

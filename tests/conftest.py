@@ -1,11 +1,12 @@
 """Shared test helpers: seeded random DAG samplers independent of synth,
-and the one hypothesis DAG strategy."""
+the one hypothesis DAG strategy, and an oracle scripted by a table."""
 
 import random
 from itertools import combinations
 
 from hypothesis import strategies as st
 
+from marvel.ci import CiOracle
 from marvel.graph import Dag
 
 
@@ -44,3 +45,17 @@ def small_dags(draw, min_p: int, max_p: int) -> Dag:
         if keep
     ]
     return Dag(p, edges)
+
+
+class ScriptedOracle(CiOracle):
+    """Oracle answering from a fixed table of independent triples."""
+
+    def __init__(self, p, independencies):
+        super().__init__()
+        self.p = p
+        self._indep = {
+            (min(x, y), max(x, y), frozenset(s)) for x, y, s in independencies
+        }
+
+    def _decide(self, x, y, s):
+        return (min(x, y), max(x, y), s) in self._indep

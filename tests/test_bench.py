@@ -15,7 +15,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import random_dag
+from conftest import ScriptedOracle, random_dag
 from reference import cpdag_bruteforce
 from marvel import bench, cli
 from marvel.bench import (
@@ -31,7 +31,6 @@ from marvel.bench import (
     solve,
 )
 from marvel.ci import (
-    CiOracle,
     Dataset,
     DsepOracle,
     FisherZOracle,
@@ -123,20 +122,6 @@ class TestPcBaseline:
             pc_baseline(oracle, used)
 
 
-class ScriptedOracle(CiOracle):
-    """Oracle answering from a fixed table of independent triples."""
-
-    def __init__(self, p, independencies):
-        super().__init__()
-        self.p = p
-        self._indep = {
-            (min(x, y), max(x, y), frozenset(s)) for x, y, s in independencies
-        }
-
-    def _decide(self, x, y, s):
-        return (min(x, y), max(x, y), s) in self._indep
-
-
 class TestPcConflictHandling:
     def test_contradictory_colliders_keep_first(self):
         # Skeleton 1-2, 2-3, 0-3 plus the moral edges 1-3 and 0-2. The
@@ -189,6 +174,8 @@ class TestExperimentConfig:
             # included, before seed 0 runs
             {"seeds": (0, -1)},
             {"generator": "cluster", "m": None, "delta_in": 2, "seeds": (-3,)},
+            # a repeated seed would run twice and weigh twice in the mean row
+            {"seeds": (0, 1, 2, 2)},
             {"p": 0},
             {"m": None},
             {"n_samples": 1},

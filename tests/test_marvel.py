@@ -18,7 +18,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_dag, small_dags
+from conftest import ScriptedOracle, random_dag, small_dags
 from reference import (
     cpdag_bruteforce,
     induced_subgraph,
@@ -193,6 +193,26 @@ class TestConditions:
         before = oracle.stats().n_tests
         assert check_condition1(1, nbrs, mb, oracle, caches)
         assert oracle.stats().n_tests == before
+
+    @pytest.mark.parametrize(
+        "later",
+        [
+            # 1's battery, with 0 as the common child
+            (1, {0, 2}, {(0, 3)}, {0, 2, 3, 4}),
+            # 4's battery, with the same common child 1
+            (4, {1, 2}, {(1, 3)}, {0, 1, 2, 3}),
+        ],
+    )
+    def test_condition2_cache_is_per_battery(self, later):
+        # 0's battery finds nothing separating 2 from 3 given {0, 1}; the
+        # later battery searches the same pair with one more pool member,
+        # and {0, 1, 4} separates them, so 0's verdict must not answer.
+        oracle = ScriptedOracle(5, [(2, 3, (0, 1, 4))])
+        caches = MarvelCaches()
+        assert check_condition2(0, {1, 2}, {(1, 3)}, {1, 2, 3}, oracle, caches)
+        fresh = check_condition2(*later, oracle, MarvelCaches())
+        assert not fresh
+        assert check_condition2(*later, oracle, caches) == fresh
 
 
 class TestIsRemovableCi:
