@@ -42,7 +42,6 @@ CSV_COLUMNS = (
     "precision",
     "recall",
     "f1",
-    "wall_ms",
     "warnings",
     "budget",
     "within_budget",
@@ -113,8 +112,6 @@ class ExperimentConfig:
     fixed_indegree and cluster). Without n_samples the oracle answers from
     the true graph; with it, Fisher-Z tests at alpha run on n_samples rows
     of linear-Gaussian data simulated per seed.
-    wall_ms is zeroed in rows unless record_wall is set, keeping CSV output
-    reproducible byte for byte.
     """
 
     generator: str
@@ -125,7 +122,6 @@ class ExperimentConfig:
     delta_in: int | None = None
     n_samples: int | None = None
     alpha: float | None = None
-    record_wall: bool = False
 
     def __post_init__(self) -> None:
         _check_generator(self.generator, self.m, self.delta_in)
@@ -135,9 +131,11 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be nonnegative, got {min(self.seeds)}")
-        for i, seed in enumerate(self.seeds):
-            if seed in self.seeds[:i]:
+        seen: set[int] = set()
+        for seed in self.seeds:
+            if seed in seen:
                 raise ValueError(f"seed {seed} is repeated")
+            seen.add(seed)
         if self.p < 1:
             raise ValueError("p must be positive")
         # Checked here so that no seed's graph or data is made first.
@@ -204,10 +202,11 @@ def generate_dag(
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     """One row per seed plus a final mean row (seed column "mean").
 
-    Each row ends with ``budget``, ``ci_budget_bound`` at p and the graph's
-    largest in-degree, and ``within_budget``, 1 when ``post_tests`` is at
-    most that budget and 0 otherwise; the mean row's ``within_budget`` is
-    the share of runs within budget.
+    A row's ``delta_in`` is its graph's largest in-degree Δ, which the
+    fixed_indegree and cluster families reach exactly. Each row ends with
+    ``budget``, ``ci_budget_bound`` at p and Δ, and ``within_budget``, 1
+    when ``post_tests`` is at most that budget and 0 otherwise; the mean
+    row's ``within_budget`` is the share of runs within budget.
     """
     rows = []
     for seed in cfg.seeds:
@@ -221,21 +220,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
         except ValueError as exc:
             raise ValueError(f"seed {seed}: {exc}") from exc
         mb_tests, res = solve(oracle, cfg.algo)
-        budget = ci_budget_bound(cfg.p, g.max_in_degree())
+        delta_in = g.max_in_degree()
+        budget = ci_budget_bound(cfg.p, delta_in)
         rows.append(
             {
                 "algo": cfg.algo,
                 "seed": seed,
                 "p": cfg.p,
-                "delta_in": (
-                    cfg.delta_in
-                    if cfg.delta_in is not None
-                    else g.max_in_degree()
-                ),
+                "delta_in": delta_in,
                 "m": g.n_edges,
                 "n_samples": cfg.n_samples if cfg.n_samples else 0,
                 **run_metrics(mb_tests, res, g),
-                "wall_ms": res.wall_ms if cfg.record_wall else 0.0,
                 "budget": budget,
                 "within_budget": int(res.stats.n_tests <= budget),
             }
@@ -264,12 +259,6 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(seeds)
 
 
-def _parse_flag(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError("expected true or false")
-    return text == "true"
-
-
 # Each config key, an ExperimentConfig field, and the parser of its value.
 _CONFIG_PARSERS = {
     "generator": str,
@@ -280,7 +269,6 @@ _CONFIG_PARSERS = {
     "delta_in": int,
     "n_samples": int,
     "alpha": float,
-    "record_wall": _parse_flag,
 }
 _CONFIG_REQUIRED = tuple(
     f.name
@@ -293,8 +281,8 @@ def parse_config(text: str) -> ExperimentConfig:
     """Build an ExperimentConfig from flat "key = value" lines.
 
     Keys are the ExperimentConfig field names; seeds take a comma list with
-    optional "a..b" ranges; record_wall takes true or false. Each key may
-    appear once. '#' starts a comment and blank lines are skipped.
+    optional "a..b" ranges. Each key may appear once. '#' starts a comment
+    and blank lines are skipped.
     """
     kv: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

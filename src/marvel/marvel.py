@@ -25,7 +25,6 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import ceil, comb
-from time import perf_counter
 from typing import Callable, Iterable
 
 from .ci import CiOracle, CiStats
@@ -61,15 +60,14 @@ class MarvelCaches:
 class LearnResult:
     """One learner run: the essential graph, the order of elimination, the
     ``CiStats`` window of the queries the learner asked (boundary discovery
-    excluded), the warnings it recorded and its wall time. Skeleton accuracy
-    against a truth graph is scored separately by
-    ``bench.skeleton_metrics``."""
+    excluded) and the warnings it recorded. Two runs on one instance, each
+    with a fresh oracle, return equal results. Skeleton accuracy against a
+    truth graph is scored separately by ``bench.skeleton_metrics``."""
 
     essential: Pdag
     elimination_order: tuple[int, ...]
     stats: CiStats
     warnings: list[str]
-    wall_ms: float
 
 
 def find_neighbors(
@@ -265,7 +263,6 @@ def run_learner(
             if x not in mb0.mb[y]:
                 raise ValueError(f"boundary pair ({x}, {y}) is not symmetric")
     warnings: list[str] = []
-    t0 = perf_counter()
     before = oracle.stats()
 
     base, order = recover(oracle, mb0, warnings)
@@ -282,8 +279,7 @@ def run_learner(
             f"{oracle.n_singular} queries met a singular correlation "
             "submatrix and were declared dependent"
         )
-    wall_ms = (perf_counter() - t0) * 1000.0
-    return LearnResult(essential, order, post, warnings, wall_ms)
+    return LearnResult(essential, order, post, warnings)
 
 
 def marvel_learn(oracle: CiOracle, mb0: MbMap) -> LearnResult:

@@ -56,11 +56,12 @@ def erdos_renyi_dag(p: int, m: int, seed: RngSeed) -> Dag:
 
 
 def fixed_indegree_dag(p: int, delta_in: int, seed: RngSeed) -> Dag:
-    """DAG whose max in-degree is capped by delta_in.
+    """DAG whose max in-degree is exactly delta_in.
 
     Fixes a uniform random vertex order, draws delta_in distinct candidate
     parents per vertex, and keeps the candidates that precede the vertex in
-    the order.
+    the order. The vertex last in the order keeps all of its candidates, so
+    no vertex has more parents and that one has exactly delta_in.
     """
     if not 0 <= delta_in < p:
         raise ValueError("need 0 <= delta_in < p")

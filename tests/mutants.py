@@ -147,6 +147,51 @@ MUTANTS = (
         "        z = sqrt(n - k - 3) * atanh(r)\n",
         "        z = sqrt(n - k - 2) * atanh(r)\n",
     ),
+    Mutant(
+        "query-counts-before-decide", CI,
+        "        answer = self._decide(x, y, s)\n"
+        "        # Counted only once answered, so a query that raises leaves no trace.\n"
+        "        k = self._size(s)\n"
+        "        self._by_size[k] = self._by_size.get(k, 0) + 1\n",
+        "        k = self._size(s)\n"
+        "        self._by_size[k] = self._by_size.get(k, 0) + 1\n"
+        "        answer = self._decide(x, y, s)\n",
+    ),
+    Mutant(
+        "degenerate-counts-before-validating", CI,
+        "            check_query(self.p, x, y, s)\n"
+        "            for v in (x, y, *(() if s is REST else s)):\n"
+        "                index(v)\n"
+        "            self.n_degenerate += 1\n",
+        "            self.n_degenerate += 1\n"
+        "            check_query(self.p, x, y, s)\n"
+        "            for v in (x, y, *(() if s is REST else s)):\n"
+        "                index(v)\n",
+    ),
+    Mutant(
+        "z-threshold-one-sided", CI,
+        "ndtri(1.0 - alpha / 2.0)",
+        "ndtri(1.0 - alpha)",
+    ),
+    # The removability battery and the test budget.
+    Mutant(
+        "condition2-always-passes", MARVEL,
+        "    for y, t in sorted(vpa):\n        for z in sorted(neighbors - {y}):\n",
+        "    return True\n"
+        "    for y, t in sorted(vpa):\n        for z in sorted(neighbors - {y}):\n",
+    ),
+    # Zeroed rather than cut, so that comb stays in use and the kill is
+    # not the unused-import rule's.
+    Mutant(
+        "budget-without-update-term", MARVEL,
+        "        Fraction(p) * comb(delta_in, 2)\n",
+        "        0 * comb(delta_in, 2)\n",
+    ),
+    Mutant(
+        "budget-divided-by-10", MARVEL,
+        "    return ceil(total)\n",
+        "    return ceil(total / 10)\n",
+    ),
 )
 
 

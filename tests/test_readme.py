@@ -5,13 +5,14 @@ import importlib
 import io
 import pkgutil
 import re
+from dataclasses import fields
 from functools import reduce
 from pathlib import Path
 
 import pytest
 
 import marvel
-from marvel import cli
+from marvel import bench, cli
 from marvel.bench import parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -114,3 +115,17 @@ def test_example_config_parses():
     example = section.split("Example:", 1)[1].split("```", 2)[1]
     cfg = parse_config(example)
     assert (cfg.p, cfg.n_samples, cfg.seeds) == (50, 2500, tuple(range(10)))
+
+
+def test_csv_columns_block_matches_the_code():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("Output CSV columns:", 1)[1].split("```", 2)[1]
+    assert block.strip() == ",".join(bench.CSV_COLUMNS)
+
+
+def test_config_key_table_lists_the_config_fields():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Experiment config files", 1)[1].split("Example:", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` +\|", section, flags=re.M)
+    # each field once; the table orders them for reading
+    assert sorted(keys) == sorted(f.name for f in fields(bench.ExperimentConfig))

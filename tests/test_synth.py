@@ -63,10 +63,14 @@ class TestFixedIndegree:
     def test_zero_indegree(self):
         assert fixed_indegree_dag(6, 0, seed=0).n_edges == 0
 
-    def test_indegree_capped(self):
+    @pytest.mark.parametrize(
+        "p, delta_in", [(1, 0), (2, 1), (5, 2), (10, 3), (10, 9), (30, 4)]
+    )
+    def test_max_indegree_is_delta(self, p, delta_in):
+        # the vertex last in the order keeps every candidate it drew
         for seed in range(300):
-            g = fixed_indegree_dag(10, 3, seed=seed)
-            assert g.max_in_degree() <= 3
+            g = fixed_indegree_dag(p, delta_in, seed=seed)
+            assert g.max_in_degree() == delta_in
 
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):

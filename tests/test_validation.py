@@ -124,6 +124,10 @@ CASES = {
         ),
         "need at least one seed",
     ),
+    "config_first_repeated_seed": (
+        fisher_z_config(seeds=(0, 2, 1, 2, 1)),
+        "seed 2 is repeated",
+    ),
     "config_alpha_without_n_samples": (
         fisher_z_config(n_samples=None, alpha=0.05),
         "alpha applies to the fisher_z oracle only",
@@ -134,6 +138,13 @@ CASES = {
             "oracle = dsep\nseeds = 0\n"
         ),
         "config key 'oracle': unknown key",
+    ),
+    "config_record_wall_key": (
+        lambda: parse_config(
+            "generator = erdos_renyi\np = 4\nm = 2\nalgo = pc\n"
+            "seeds = 0\nrecord_wall = true\n"
+        ),
+        "config key 'record_wall': unknown key",
     ),
 }
 
