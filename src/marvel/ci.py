@@ -62,20 +62,22 @@ class CiStats:
 class CiOracle:
     """Base oracle: ``query``, ``search`` and ``stats`` around ``_decide``.
 
-    Subclasses set ``self.p`` and implement ``_decide(x, y, s)``. It gets s
-    as a frozenset, or, during total conditioning, as ``graph.REST``, every
-    vertex but x and y: ``query`` passes ``REST`` through unconverted,
-    counts it at |S| = p - 2, and turns every other input into a
-    frozenset. ``_decide`` owns argument validation: it must reject a bad
-    query with ``check_query``'s errors before deciding anything. A query
-    is counted only after ``_decide`` returns, so a rejected one counts
-    nothing. Each query is validated once, by the kernel that decides it:
-    ``d_separated`` for ``DsepOracle`` and ``partial_correlation_from_corr``
-    for ``FisherZOracle``, which repeats the kernel's checks itself only
-    for the degenerate queries that never reach it. Both kernels take
-    ``REST`` as it is: ``d_separated`` answers it from the moral row,
-    independent exactly when y is off x's Markov blanket, and the Fisher-Z
-    kernel gathers every vertex but x and y in ascending order.
+    Subclasses set ``self.p`` and implement ``_decide(x, y, s, k)``. It gets
+    s as a frozenset, or, during total conditioning, as ``graph.REST``,
+    every vertex but x and y: ``query`` passes ``REST`` through
+    unconverted and turns every other input into a frozenset. ``k`` is
+    |S|, sized once by ``query``, with ``REST`` at the p - 2 vertices it
+    stands for; the query is counted under it. ``_decide`` owns argument
+    validation: it must reject a bad query with ``check_query``'s errors
+    before deciding anything. A query is counted only after ``_decide``
+    returns, so a rejected one counts nothing. Each query is validated
+    once, by the kernel that decides it: ``d_separated`` for ``DsepOracle``
+    and ``partial_correlation_from_corr`` for ``FisherZOracle``, which
+    repeats the kernel's checks itself only for the degenerate queries that
+    never reach it. Both kernels take ``REST`` as it is: ``d_separated``
+    answers it from the moral row, independent exactly when y is off x's
+    Markov blanket, and the Fisher-Z kernel gathers every vertex but x and
+    y in ascending order.
 
     ``search(x, y, pool, base, sizes)`` is the one subset search the
     learners use, and the only place that knows the enumeration order. It
@@ -100,17 +102,15 @@ class CiOracle:
         self._by_size: dict[int, int] = {}
 
     def query(self, x: int, y: int, s: Iterable[int] | Rest = ()) -> bool:
-        if s is not REST:
+        if s is REST:
+            k = self.p - 2
+        else:
             s = frozenset(s)
-        answer = self._decide(x, y, s)
+            k = len(s)
+        answer = self._decide(x, y, s, k)
         # Counted only once answered, so a query that raises leaves no trace.
-        k = self._size(s)
         self._by_size[k] = self._by_size.get(k, 0) + 1
         return answer
-
-    def _size(self, s: frozenset[int] | Rest) -> int:
-        """|S|, with ``REST`` counted as the p - 2 vertices it stands for."""
-        return self.p - 2 if s is REST else len(s)
 
     def search(
         self,
@@ -146,7 +146,7 @@ class CiOracle:
                     return s
         return None
 
-    def _decide(self, x: int, y: int, s: frozenset[int] | Rest) -> bool:
+    def _decide(self, x: int, y: int, s: frozenset[int] | Rest, k: int) -> bool:
         raise NotImplementedError
 
     def stats(self) -> CiStats:
@@ -164,7 +164,7 @@ class DsepOracle(CiOracle):
         self.dag = dag
         self.p = dag.p
 
-    def _decide(self, x: int, y: int, s: frozenset[int] | Rest) -> bool:
+    def _decide(self, x: int, y: int, s: frozenset[int] | Rest, k: int) -> bool:
         return d_separated(self.dag, x, y, s)
 
 
@@ -347,9 +347,8 @@ class FisherZOracle(CiOracle):
         # wraps; calling it directly spares importing all of scipy.stats.
         self.z_threshold = float(ndtri(1.0 - alpha / 2.0))
 
-    def _decide(self, x: int, y: int, s: frozenset[int] | Rest) -> bool:
+    def _decide(self, x: int, y: int, s: frozenset[int] | Rest, k: int) -> bool:
         n = self.n
-        k = self._size(s)
         if n <= k + 3:
             # This branch never reaches the kernel, so it repeats the
             # kernel's checks: check_query, then the integer rule that

@@ -348,7 +348,7 @@ def _eliminate(
                 heappush(scan, entry)
         # Only the removed vertex's old boundary can shrink.
         touched = list(m.mb[x])
-        update_after_removal(m, x, sorted(neighbors), oracle)
+        update_after_removal(m, x, neighbors, oracle)
         for v in touched:
             heappush(scan, (len(m.mb[v]), v))
 

@@ -57,5 +57,5 @@ class ScriptedOracle(CiOracle):
             (min(x, y), max(x, y), frozenset(s)) for x, y, s in independencies
         }
 
-    def _decide(self, x, y, s):
+    def _decide(self, x, y, s, k):
         return (min(x, y), max(x, y), s) in self._indep

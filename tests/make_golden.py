@@ -118,12 +118,12 @@ class Recording:
         self.budget = budget
         self.name = name
 
-    def _decide(self, x, y, s):
+    def _decide(self, x, y, s, k):
         if self.budget is not None and len(self.log) >= self.budget:
             raise AssertionError(
                 f"{self.name}: more than the recorded {self.budget} queries"
             )
-        answer = super()._decide(x, y, s)
+        answer = super()._decide(x, y, s, k)
         if s is REST:
             self.rest += 1
             s = self.vertices - {x, y}
@@ -134,7 +134,7 @@ class Recording:
             listed = self.vertices.difference(s)
         else:
             listed = s
-        self.log.append((int(x), int(y), len(s), tuple(sorted(listed))))
+        self.log.append((int(x), int(y), k, tuple(sorted(listed))))
         self.answers.append(answer)
         return answer
 

@@ -1,6 +1,6 @@
 """Mutation gate: every listed mutant of the package must fail the suite.
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME ...]
 
 A mutant is one exact edit of one package file: an anchor text, which must
 occur in that file exactly once, and its replacement. For each mutant the
@@ -9,6 +9,8 @@ script copies what the suite reads (``src``, ``tests``, ``perfbench``,
 the edit to the copy and runs ``python -m pytest -x -q tests`` there, so the
 repository itself is never touched. It prints each mutant's first failing
 test and exits 1 if any mutant survives, times out or has a stale anchor.
+Given names, it runs only those mutants, and an unknown name exits 1
+before any run; given none, it runs them all.
 ``tests/test_mutants.py`` checks every anchor in the tier-1 suite.
 """
 
@@ -129,8 +131,8 @@ MUTANTS = (
     # The oracles: counting and the Fisher-Z kernel.
     Mutant(
         "rest-counted-at-p-minus-3", CI,
-        "        return self.p - 2 if s is REST else len(s)\n",
-        "        return self.p - 3 if s is REST else len(s)\n",
+        "            k = self.p - 2\n",
+        "            k = self.p - 3\n",
     ),
     Mutant(
         "fisherz-unsorted-s", CI,
@@ -149,13 +151,11 @@ MUTANTS = (
     ),
     Mutant(
         "query-counts-before-decide", CI,
-        "        answer = self._decide(x, y, s)\n"
+        "        answer = self._decide(x, y, s, k)\n"
         "        # Counted only once answered, so a query that raises leaves no trace.\n"
-        "        k = self._size(s)\n"
         "        self._by_size[k] = self._by_size.get(k, 0) + 1\n",
-        "        k = self._size(s)\n"
         "        self._by_size[k] = self._by_size.get(k, 0) + 1\n"
-        "        answer = self._decide(x, y, s)\n",
+        "        answer = self._decide(x, y, s, k)\n",
     ),
     Mutant(
         "degenerate-counts-before-validating", CI,
@@ -238,9 +238,15 @@ def run(mutant: Mutant) -> tuple[str, str]:
     return "killed", failed.group(1) if failed else f"exit {proc.returncode}"
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 1
+    chosen = [by_name[name] for name in names] if names else MUTANTS
     bad = 0
-    for mutant in MUTANTS:
+    for mutant in chosen:
         t0 = time.perf_counter()
         try:
             verdict, detail = run(mutant)
@@ -249,9 +255,9 @@ def main() -> int:
         bad += verdict != "killed"
         secs = time.perf_counter() - t0
         print(f"{mutant.name}: {verdict} ({secs:.0f} s): {detail}", flush=True)
-    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

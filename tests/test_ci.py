@@ -412,7 +412,7 @@ class NeverIndependent(ci.CiOracle):
         super().__init__()
         self.p = p
 
-    def _decide(self, x, y, s):
+    def _decide(self, x, y, s, k):
         graph.check_query(self.p, x, y, s)
         return False
 
@@ -628,6 +628,57 @@ class TestRestQueries:
         assert partial_correlation_from_corr(
             corr, 0, 1, REST
         ) == partial_correlation_from_corr(corr, 0, 1, ())
+
+
+class SizeSpy(ci.DsepOracle):
+    """d-separation oracle that logs the |S| each query hands ``_decide``."""
+
+    def __init__(self, dag):
+        super().__init__(dag)
+        self.sizes = []
+
+    def _decide(self, x, y, s, k):
+        answer = super()._decide(x, y, s, k)
+        self.sizes.append(k)
+        return answer
+
+
+@hs.composite
+def sized_queries(draw):
+    """A random DAG and queries on it: given ``REST``, or given a list of
+    members that may repeat and may be numpy integers."""
+    p = draw(hs.integers(2, 9))
+    g = random_dag(random.Random(draw(hs.integers(0, 2**32 - 1))), p)
+    kinds = hs.sampled_from([int, np.int64, np.int32, np.uint8, np.uint64])
+    pair = hs.lists(hs.integers(0, p - 1), min_size=2, max_size=2, unique=True)
+    queries = []
+    for _ in range(draw(hs.integers(1, 8))):
+        x, y = draw(pair)
+        rest = [v for v in range(p) if v not in (x, y)]
+        if draw(hs.booleans()):
+            s = REST
+        else:
+            size = draw(hs.integers(0, p if rest else 0))
+            s = [draw(kinds)(draw(hs.sampled_from(rest))) for _ in range(size)]
+        queries.append((x, y, s))
+    return g, queries
+
+
+class TestSizeHandOff:
+    @settings(max_examples=100, deadline=None)
+    @given(sized_queries())
+    def test_decide_gets_the_counted_size(self, case):
+        # query sizes each query once; the k _decide receives is the size
+        # stats() counts, and REST counts at p - 2.
+        g, queries = case
+        o = SizeSpy(g)
+        for x, y, s in queries:
+            before = o.stats()
+            o.query(x, y, s)
+            want = g.p - 2 if s is REST else len({int(v) for v in s})
+            assert o.stats() - before == CiStats({want: 1})
+            assert o.sizes[-1] == want
+        assert len(o.sizes) == o.stats().n_tests == len(queries)
 
 
 class TestValidatedOnce:

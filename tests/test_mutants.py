@@ -6,6 +6,7 @@ with ``python tests/mutants.py``."""
 
 import pytest
 
+import mutants
 from mutants import MUTANTS, ROOT
 
 
@@ -20,3 +21,12 @@ def test_anchor_occurs_once(mutant):
     assert text.count(mutant.anchor) == 1
     assert mutant.replacement != mutant.anchor
     compile(text.replace(mutant.anchor, mutant.replacement), mutant.path, "exec")
+
+
+def test_unknown_name_exits_1_before_any_run(monkeypatch, capsys):
+    def run(mutant):
+        raise AssertionError(f"ran {mutant.name}")
+
+    monkeypatch.setattr(mutants, "run", run)
+    assert mutants.main([MUTANTS[0].name, "no-such-mutant"]) == 1
+    assert "no-such-mutant" in capsys.readouterr().err
